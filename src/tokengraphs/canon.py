@@ -128,7 +128,7 @@ class _Search:
         cells = [(1 << n) - 1]
         colors = [0] * n
         _refine(self.adj, cells, colors, deque([0]))
-        self._node(cells, colors, (), True, _BETTER)
+        self._node(cells, colors, (), True)
         return self.best_cert, tuple(self.best_labels), self.gens
 
     def _add_automorphism(self, labels, ref_vert):
@@ -140,7 +140,22 @@ class _Search:
         self._gen_keys.add(perm)
         self.gens.append(perm)
 
-    def _node(self, cells, colors, prefix, first_eq, best_state):
+    def _compare_best(self, inv) -> int:
+        """This node's invariant path against the current best leaf's path.
+
+        Computed afresh at every node: a state inherited from the parent
+        goes stale once a leaf in the same subtree replaces the best leaf.
+        """
+        bi = self.best_invs
+        if bi is None:
+            return _BETTER
+        path = self._invs + [inv]
+        ref = bi[: len(path)]
+        if path == ref:
+            return _EQ
+        return _BETTER if path < ref else _WORSE
+
+    def _node(self, cells, colors, prefix, first_eq):
         inv = tuple(mask.bit_count() for mask in cells)
         depth = len(self._invs)
         if self.first_invs is not None:
@@ -149,14 +164,7 @@ class _Search:
                 and depth < len(self.first_invs)
                 and self.first_invs[depth] == inv
             )
-        if self.best_invs is None:
-            best_state = _BETTER
-        elif best_state == _EQ:
-            bi = self.best_invs
-            if depth >= len(bi) or inv > bi[depth]:
-                best_state = _WORSE
-            elif inv < bi[depth]:
-                best_state = _BETTER
+        best_state = self._compare_best(inv)
         if best_state == _WORSE and not first_eq:
             return
         self._invs.append(inv)
@@ -189,7 +197,7 @@ class _Search:
                 for w in _bits(rest):
                     child_colors[w] = nid
                 _refine(self.adj, child_cells, child_colors, deque([target, nid]))
-                self._node(child_cells, child_colors, prefix + (v,), first_eq, best_state)
+                self._node(child_cells, child_colors, prefix + (v,), first_eq)
         finally:
             self._invs.pop()
 

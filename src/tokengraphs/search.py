@@ -1,19 +1,23 @@
 """Connected-graph enumeration and the edge-maximal planar-token search.
 
-Generation is by canonical augmentation: a child g+e is accepted only when
-the added edge lies in the child's designated edge orbit (the preimage of
-the largest canonical pair), and candidate non-edges are deduplicated by
-parent automorphism orbits first. Each isomorphism class therefore appears
-exactly once per (n, m) level without a global seen-set.
+Every level is generated in one way: take all single-edge children of the
+previous level's graphs and keep one graph per canonical form
+(`canonical_graph6`). `graph_classes(n, m)` grows that way from the empty
+graph on n vertices. The search starts from the trees on n vertices, grown
+one leaf at a time from a single vertex and deduplicated the same way, and
+grows every later level from the one before. Adding edges keeps a graph connected, and every connected graph with
+a cycle loses a cycle edge to a connected graph, so growth from the trees
+reaches each connected class exactly once per (n, m) level.
 
 The search walks m upward from n-1 per order n, keeps the graphs whose
 k-token graphs are planar, records the edge-maximal ones (no single edge can
 be added without losing token planarity), and stops at the first m with no
-connected survivor. Planarity of token graphs only ever degrades when edges
-are added to the base, so the default "pruned" mode grows candidates from
-the planar classes of the previous level (connected or not) instead of
-enumerating everything; "verbatim" mode enumerates every connected class,
-which is affordable at desk scale and cross-checks the pruning.
+survivor. Planarity of token graphs only ever degrades when edges are added
+to the base, so every survivor at level m is a child of a survivor at level
+m - 1. The two modes differ only in which level they grow from: "pruned"
+mode (the default) grows from the previous level's survivors, "verbatim"
+mode from the whole previous level, which cross-checks the pruning. "file"
+mode reads each level from a graph6 stream instead of growing it.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import count
 
-from .canon import canonical_data, canonical_graph6
+from .canon import canonical_graph6
 from .errors import BadK, SizeLimitExceeded
-from .graph6 import decode_graph6, encode_graph6, iter_graph6
+from .graph6 import iter_graph6
 from .graphs import Graph, empty_graph
 from .planarity import is_planar
 from .tokens import build_token_graph
@@ -35,81 +40,41 @@ BUDGET_ENV_VAR = "TOKENS_BUDGET_SECS"
 
 
 # ---------------------------------------------------------------------------
-# canonical augmentation
+# canonical-form growth
 
 
-def _pair_dsu(pairs, gens):
-    """Union-find over vertex pairs identified by the permutations."""
-    index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in gens:
-        for i, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            j = index[(a, b)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    return index, find
+def _dedup_by_canon(graphs) -> list[Graph]:
+    seen: set[str] = set()
+    out = []
+    for g in graphs:
+        key = canonical_graph6(g)
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return out
 
 
-def _pair_orbit_reps(pairs, gens):
-    if not gens or len(pairs) <= 1:
-        return list(pairs)
-    _, find = _pair_dsu(pairs, gens)
-    reps = []
-    seen = set()
-    for i, p in enumerate(pairs):
-        r = find(i)
-        if r not in seen:
-            seen.add(r)
-            reps.append(p)
-    return reps
+def _grow(level) -> list[Graph]:
+    """Every single-edge child of `level`, one per isomorphism class."""
+    return _dedup_by_canon(
+        g.with_edge(u, v)
+        for g in level
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not g.has_edge(u, v)
+    )
 
 
-def _same_pair_orbit(pairs, p1, p2, gens) -> bool:
-    if p1 == p2:
-        return True
-    if not gens:
-        return False
-    index, find = _pair_dsu(pairs, gens)
-    return find(index[p1]) == find(index[p2])
-
-
-def _augmentations(parent: Graph):
-    """Children of `parent` accepted by the canonical augmentation rule."""
-    n = parent.n
-    _, _, pgens = canonical_data(parent)
-    nonedges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not parent.has_edge(u, v)
-    ]
-    for u, v in _pair_orbit_reps(nonedges, pgens):
-        child = parent.with_edge(u, v)
-        _, cperm, cgens = canonical_data(child)
-        inv = [0] * n
-        for x in range(n):
-            inv[cperm[x]] = x
-        best = None
-        for a, b in child.edges():
-            p = (cperm[a], cperm[b])
-            if p[0] > p[1]:
-                p = (p[1], p[0])
-            if best is None or p > best:
-                best = p
-        designated = tuple(sorted((inv[best[0]], inv[best[1]])))
-        if _same_pair_orbit(child.edges(), (u, v), designated, cgens):
-            yield child
+def _trees(n: int) -> list[Graph]:
+    """One tree per isomorphism class on n >= 1 vertices, grown leaf by leaf."""
+    level = [Graph(1)]
+    for size in range(2, n + 1):
+        level = _dedup_by_canon(
+            Graph(size, t.edges() + [(v, size - 1)])
+            for t in level
+            for v in range(size - 1)
+        )
+    return level
 
 
 _LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {}
@@ -141,10 +106,7 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     if m == 0:
         level: tuple[Graph, ...] = (empty_graph(n),)
     else:
-        out = []
-        for parent in graph_classes(n, m - 1):
-            out.extend(_augmentations(parent))
-        level = tuple(out)
+        level = tuple(_grow(graph_classes(n, m - 1)))
     _LEVELS[key] = level
     return level
 
@@ -154,15 +116,11 @@ def connected_graphs(n: int, m: int, *, from_file: str | None = None):
     if from_file is not None:
         with open(from_file, "r", encoding="ascii") as fh:
             text = fh.read()
-        seen: set[str] = set()
-        for g in iter_graph6(text):
-            if g.n != n or g.m != m or not g.is_connected():
-                continue
-            key = canonical_graph6(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield g
+        yield from _dedup_by_canon(
+            g
+            for g in iter_graph6(text)
+            if g.n == n and g.m == m and g.is_connected()
+        )
         return
     for g in graph_classes(n, m):
         if g.is_connected():
@@ -227,17 +185,10 @@ def verify_maximality(g: Graph, k: int) -> bool:
     return True
 
 
-def _token_planar(g: Graph, k: int) -> bool:
+def _token_planar(args: tuple[Graph, int]) -> bool:
+    """Worker: (graph, k) -> whether F_k(graph) is planar."""
+    g, k = args
     return is_planar(build_token_graph(g, k).graph).planar
-
-
-def _candidate_pipeline(args: tuple[str, int]) -> tuple[bool, bool]:
-    """Worker: (graph6, k) -> (token graph planar, certified edge-maximal)."""
-    g6, k = args
-    g = decode_graph6(g6)
-    planar = _token_planar(g, k)
-    maximal = planar and g.is_connected() and verify_maximality(g, k)
-    return planar, maximal
 
 
 class _Budget:
@@ -258,48 +209,6 @@ class _Budget:
         return time.monotonic() - self.start
 
 
-def _run_level(candidates, k, pool):
-    """Test every candidate; returns (planar graphs, connected count, maximal list)."""
-    cands = list(candidates)
-    if pool is not None:
-        results = list(pool.map(_candidate_pipeline, [(encode_graph6(g), k) for g in cands]))
-    else:
-        results = [
-            (_token_planar(g, k), False) for g in cands
-        ]
-        # fill in maximality serially, only where it matters
-        for i, g in enumerate(cands):
-            if results[i][0] and g.is_connected():
-                results[i] = (True, verify_maximality(g, k))
-    planar_graphs = [g for g, (p, _) in zip(cands, results) if p]
-    connected_total = sum(1 for g in cands if g.is_connected())
-    maximal = [
-        g for g, (p, mx) in zip(cands, results) if p and mx
-    ]
-    return planar_graphs, connected_total, maximal
-
-
-def _dedup_by_canon(graphs) -> list[Graph]:
-    seen: set[str] = set()
-    out = []
-    for g in graphs:
-        key = canonical_graph6(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
-def _pruned_candidates(frontier) -> list[Graph]:
-    out = []
-    for g in frontier:
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if not g.has_edge(u, v):
-                    out.append(g.with_edge(u, v))
-    return _dedup_by_canon(out)
-
-
 def edge_maximal_search(
     k: int,
     n_range,
@@ -312,7 +221,8 @@ def edge_maximal_search(
     """Find all connected graphs with planar k-token graphs that are edge-maximal.
 
     Follows the ascending (n, m) protocol; see the module docstring for the
-    pruned/verbatim distinction. A wall-clock budget (argument or the
+    pruned/verbatim distinction. `jobs` > 1 tests planarity in a process
+    pool of at most one worker per CPU. A wall-clock budget (argument or the
     TOKENS_BUDGET_SECS environment variable) turns the report partial rather
     than raising.
     """
@@ -336,26 +246,23 @@ def edge_maximal_search(
     maximal: list[str] = []
     stopped_at: dict[int, int] = {}
     partial = False
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs and jobs > 1 else None
+    workers = min(jobs or 1, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for n in ns:
+            partial = _search_order(
+                n, k, mode, from_file, pool.map if pool else map,
+                budget, entries, maximal, stopped_at,
+            )
             if partial:
                 break
-            if mode == "pruned":
-                partial = _search_pruned(
-                    n, k, pool, budget, entries, maximal, stopped_at
-                )
-            else:
-                partial = _search_enumerated(
-                    n, k, pool, budget, entries, maximal, stopped_at, from_file
-                )
     finally:
         if pool is not None:
             pool.shutdown()
     return SearchReport(
         k=k,
         entries=tuple(entries),
-        maximal=tuple(sorted(dict.fromkeys(maximal))),
+        maximal=tuple(sorted(maximal)),
         stopped_at=stopped_at,
         elapsed_secs=budget.elapsed(),
         mode=mode,
@@ -363,52 +270,28 @@ def edge_maximal_search(
     )
 
 
-def _search_pruned(n, k, pool, budget, entries, maximal, stopped_at) -> bool:
-    """One order in pruned mode. Returns True when the budget ran out."""
-    frontier: list[Graph] = [empty_graph(n)]
-    top = n * (n - 1) // 2
-    for m in range(1, top + 2):
-        if budget.exhausted():
-            return True
-        candidates = _pruned_candidates(frontier)
-        planar_graphs, connected_total, level_maximal = _run_level(
-            candidates, k, pool
-        )
-        frontier = planar_graphs
-        survivors = sum(1 for g in planar_graphs if g.is_connected())
-        if m >= n - 1:
-            entries.append(SearchEntry(n, m, connected_total, survivors))
-            maximal.extend(canonical_graph6(g) for g in level_maximal)
-            if survivors == 0:
-                stopped_at[n] = m
-                return False
-        if not frontier:
-            # the planar class died before the first reported level; the
-            # protocol's answer at m = n-1 is then an empty level
-            entries.append(SearchEntry(n, n - 1, 0, 0))
-            stopped_at[n] = n - 1
-            return False
-    stopped_at[n] = top + 1
-    return False
-
-
-def _search_enumerated(
-    n, k, pool, budget, entries, maximal, stopped_at, from_file
+def _search_order(
+    n, k, mode, from_file, planar_map, budget, entries, maximal, stopped_at
 ) -> bool:
-    """One order in verbatim/file mode. Returns True when the budget ran out."""
-    top = n * (n - 1) // 2
-    for m in range(n - 1, top + 2):
+    """One order, level by level from m = n-1. Returns True when the budget ran out."""
+    level: list[Graph] = []
+    for m in count(n - 1):
         if budget.exhausted():
             return True
-        candidates = list(connected_graphs(n, m, from_file=from_file))
-        planar_graphs, connected_total, level_maximal = _run_level(
-            candidates, k, pool
+        if mode == "file":
+            level = list(connected_graphs(n, m, from_file=from_file))
+        else:
+            level = _trees(n) if m == n - 1 else _grow(level)
+        planar = planar_map(_token_planar, [(g, k) for g in level])
+        survivors = [g for g, ok in zip(level, planar) if ok]
+        entries.append(SearchEntry(n, m, len(level), len(survivors)))
+        # checked per survivor rather than read off the next level, so the
+        # answer stays right when a file level is incomplete
+        maximal.extend(
+            canonical_graph6(g) for g in survivors if verify_maximality(g, k)
         )
-        survivors = len(planar_graphs)
-        entries.append(SearchEntry(n, m, connected_total, survivors))
-        maximal.extend(canonical_graph6(g) for g in level_maximal)
-        if survivors == 0:
+        if not survivors:
             stopped_at[n] = m
             return False
-    stopped_at[n] = top + 1
-    return False
+        if mode == "pruned":
+            level = survivors

@@ -119,11 +119,3 @@ class SubsetCodec:
             mask |= 1 << c
             r -= cmb[c][i]
         return mask
-
-    def subsets(self):
-        """All k-subsets in colex (= rank) order."""
-        for r in range(self.size):
-            yield self.unrank(r)
-
-    def complement_codec(self) -> "SubsetCodec":
-        return SubsetCodec(self.n, self.n - self.k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadK, BudgetExceeded, TokenGraphError
-from .graphs import Graph, complete_graph
+from .graphs import Graph, _bits, complete_graph
 from .subsets import KSubset, SubsetCodec
 
 DEFAULT_VERTEX_BUDGET = 10**6
@@ -121,13 +121,6 @@ def johnson_complement(tg: TokenGraph) -> TokenGraph:
     )
 
 
-def _mask_bits(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
 def complement_isomorphism_check(g: Graph, k: int) -> bool:
     """Verify F_k(g) equals F_{n-k}(g) under the subset-complement relabeling."""
     n = g.n
@@ -141,7 +134,7 @@ def complement_isomorphism_check(g: Graph, k: int) -> bool:
     to_co = [co.rank_mask(full ^ fk.codec.unrank_mask(r)) for r in range(fk.codec.size)]
     for r in range(fk.codec.size):
         image = 0
-        for s in _mask_bits(fk.graph._adj[r]):
+        for s in _bits(fk.graph._adj[r]):
             image |= 1 << to_co[s]
         if image != fnk.graph._adj[to_co[r]]:
             return False

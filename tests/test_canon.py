@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,6 +16,7 @@ from tokengraphs import (
     decode_graph6,
     empty_graph,
     encode_graph6,
+    graph_classes,
     octahedron_graph,
     path_graph,
     petersen_graph,
@@ -33,6 +34,24 @@ def test_canonical_string_is_relabeling_invariant():
         want = canonical_graph6(g)
         for _ in range(4):
             assert canonical_graph6(shuffled(rng, g)) == want
+
+
+def test_every_relabeling_of_a_disjoint_union_has_one_form():
+    # C3 + C4: a best leaf replaced inside a subtree must not leave its
+    # sibling subtrees comparing against the old best
+    g = decode_graph6("FwCOW")
+    forms = {canonical_graph6(relabeled(g, perm)) for perm in permutations(range(7))}
+    assert len(forms) == 1
+
+
+def test_every_small_class_has_one_form_under_relabeling():
+    rng = random.Random(40007)
+    for n in range(1, 8):
+        for m in range(n * (n - 1) // 2 + 1):
+            for g in graph_classes(n, m):
+                want = canonical_graph6(g)
+                for _ in range(20):
+                    assert canonical_graph6(shuffled(rng, g)) == want
 
 
 def test_canonical_graph_is_a_fixed_point():

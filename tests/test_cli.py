@@ -156,3 +156,16 @@ def test_empty_stdin_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     code, _, err = run(capsys, "canon")
     assert code == 2 and "no input graphs" in err
+
+
+def test_non_ascii_input_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"D\xffW\n")
+    for argv in (
+        ("canon", "--file", str(bad)),
+        ("lift", "-k", "2", "--graph6", "C~", "--script", str(bad)),
+        ("search", "-k", "2", "--n-min", "5", "--n-max", "5", "--from-file", str(bad)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:"), argv

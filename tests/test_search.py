@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tokengraphs.search
 from tokengraphs import (
     BadK,
     SearchReport,
@@ -128,6 +129,9 @@ def test_pruned_and_verbatim_modes_agree():
         for key in surv_p.keys() & surv_f.keys():
             assert surv_p[key] == surv_f[key]
         assert pruned.mode == "pruned" and full.mode == "verbatim"
+        # verbatim mode examines every connected class of each level
+        for e in full.entries:
+            assert e.generated == sum(1 for _ in connected_graphs(e.n, e.m))
 
 
 def test_search_stops_once_a_level_has_no_survivors():
@@ -168,6 +172,29 @@ def test_parallel_jobs_match_serial():
     js, jp = serial.to_json(), parallel.to_json()
     js.pop("elapsed_secs"), jp.pop("elapsed_secs")
     assert js == jp
+
+
+def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(tokengraphs.search, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(tokengraphs.search.os, "cpu_count", lambda: 3)
+    report = edge_maximal_search(2, range(5, 6), jobs=64)
+    assert started == [3]
+    assert report.maximal == ("DZ[", "DmW")
+    monkeypatch.setattr(tokengraphs.search.os, "cpu_count", lambda: None)
+    edge_maximal_search(2, range(5, 6), jobs=64)
+    assert started == [3]  # an unknown CPU count means one worker and no pool
 
 
 def test_search_accepts_a_graph_file(tmp_path):
