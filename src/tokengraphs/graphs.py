@@ -33,6 +33,14 @@ def _bits(mask: int):
         mask ^= lsb
 
 
+def _mask(vertices) -> int:
+    """The bitmask with one set bit per vertex in `vertices`; inverse of `_bits`."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _drop_bit(mask: int, v: int) -> int:
     """Remove bit position v from mask, shifting higher bits down by one."""
     low = mask & ((1 << v) - 1)

@@ -27,6 +27,7 @@ from .errors import BadK, InvalidScript
 from .graphs import (
     Graph,
     _drop_bit,
+    _mask,
     has_cycle_of_length_at_least,
     has_subgraph,
     contains_disjoint,
@@ -138,20 +139,12 @@ class LiftedScript:
         return tuple(out)
 
 
-def _mask_of(members) -> int:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return mask
-
-
 class _LabelTracker:
     """Current token-graph label of every live subset (keyed by base mask)."""
 
     def __init__(self, n: int, k: int):
-        codec = SubsetCodec(n, k)
         self.labels: dict[int, int] = {
-            codec.unrank_mask(r): r for r in range(codec.size)
+            mask: r for r, mask in enumerate(SubsetCodec(n, k).masks())
         }
 
     def delete(self, mask: int, out: list) -> None:
@@ -205,7 +198,7 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
             others = [v for v in range(bg.n) if v not in (a, b)]
             pairs = []
             for rest in combinations(others, k - 1):
-                base = _mask_of(rest)
+                base = _mask(rest)
                 la = tracker.labels[base | (1 << a)]
                 lb = tracker.labels[base | (1 << b)]
                 pairs.append((min(la, lb), max(la, lb)))
@@ -219,7 +212,7 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
             others = [v for v in range(bg.n) if v not in (a, b)]
             matching = []
             for rest in combinations(others, k - 1):
-                base = _mask_of(rest)
+                base = _mask(rest)
                 keep = base | (1 << a)
                 matching.append((tracker.labels[keep], keep, base | (1 << b)))
             for _, keep, drop in sorted(matching):

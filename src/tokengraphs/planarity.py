@@ -1,9 +1,10 @@
 """Planarity testing.
 
-`is_planar` is the production path: split into connected components, reject a
-component outright when it exceeds the 3n - 6 edge bound, and otherwise run
-the left-right test (Brandes). Both DFS passes are iterative because token
-graphs routinely reach several hundred vertices.
+`is_planar` is the production path: reject the graph outright when it exceeds
+the 3n - 6 edge bound, otherwise split it into connected components, reject a
+component that exceeds the bound, and run the left-right test (Brandes) on
+the rest. Both DFS passes are iterative because token graphs routinely reach
+several hundred vertices.
 
 `planarity_oracle` is a deliberately independent cross-check for small graphs:
 planarity is decided by exhaustively searching for a K5 or K3,3 minor through
@@ -19,7 +20,7 @@ from itertools import combinations
 
 from .canon import canonical_graph6
 from .errors import SizeLimitExceeded
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _mask
 
 ORACLE_MAX_N = 10
 
@@ -28,9 +29,11 @@ ORACLE_MAX_N = 10
 class PlanarityVerdict:
     """Outcome plus which stage decided it.
 
-    method is "euler-bound" when the edge-count bound rejected a dense
-    component, "left-right" when the LR test ran on a single component, and
-    "component-split" when the answer was aggregated over several components.
+    method is "euler-bound" when the edge count alone rejected the graph
+    (m > 3n - 6, connected or not), "left-right" when the LR test ran on a
+    connected graph, and "component-split" when the answer was aggregated
+    over several components. So a dense disconnected graph reports
+    "euler-bound", not "component-split".
     """
 
     planar: bool
@@ -277,6 +280,10 @@ def _component_verdict(g: Graph) -> PlanarityVerdict:
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Planarity of g; disconnected graphs are tested component by component."""
+    # Every simple planar graph on n >= 3 vertices has m <= 3n - 6, connected
+    # or not, so the bound needs no component split.
+    if g.n >= 3 and g.m > 3 * g.n - 6:
+        return PlanarityVerdict(False, "euler-bound")
     comps = g.connected_components()
     if len(comps) <= 1:
         return _component_verdict(g)
@@ -315,9 +322,7 @@ def _has_clique5(g: Graph) -> bool:
     adj = g._adj
     cand = [v for v in range(g.n) if adj[v].bit_count() >= 4]
     for quint in combinations(cand, 5):
-        mask = 0
-        for v in quint:
-            mask |= 1 << v
+        mask = _mask(quint)
         if all((adj[v] & mask).bit_count() == 4 for v in quint):
             return True
     return False

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import IndexOutOfRange, SizeLimitExceeded
+from .graphs import _mask
 
 CODEC_MAX_N = 64
 
@@ -35,10 +36,7 @@ class KSubset:
 
     @property
     def mask(self) -> int:
-        out = 0
-        for v in self.members:
-            out |= 1 << v
-        return out
+        return _mask(self.members)
 
     def complement(self) -> "KSubset":
         inside = set(self.members)
@@ -71,6 +69,22 @@ class SubsetCodec:
         self.size = comb(n, k)
         # _comb[c][i] = C(c, i) for 0 <= c <= n, 0 <= i <= k
         self._comb = [[comb(c, i) for i in range(k + 1)] for c in range(n + 1)]
+
+    def masks(self) -> list[int]:
+        """Every k-subset as a bitmask, listed in rank order.
+
+        Increasing integers with k set bits are exactly colex order, so
+        Gosper's next-combination step (Knuth, TAOCP 4A, 7.2.1.3) walks the
+        ranks 0, 1, 2, ... with no unranking.
+        """
+        x = (1 << self.k) - 1
+        out = [x]
+        for _ in range(self.size - 1):
+            low = x & -x
+            y = x + low
+            x = ((x ^ y) >> 2) // low | y
+            out.append(x)
+        return out
 
     def rank(self, s) -> int:
         """Colex rank of a KSubset or iterable of members."""

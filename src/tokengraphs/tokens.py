@@ -4,6 +4,16 @@ The k-token graph of g has one vertex per k-subset of V(g); two subsets are
 adjacent when their symmetric difference is an edge of g (slide one token
 along that edge). Vertex ids are colex ranks from SubsetCodec, so the
 layout is deterministic and cheap to invert.
+
+The build never unranks. `SubsetCodec.masks` lists the subsets in colex
+order by Gosper's next-combination step, and one dict maps each mask back
+to its rank. The row of a subset A is read off its cut edges: for each
+token on u and each free neighbour w of u, A - u + w is a neighbour. So a
+row costs its degree, not a pass over every edge of g.
+
+Rows are bitmask ints of up to V bits, so a build can hold up to about V²/8
+bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The default vertex
+budget of 10^5 keeps that near 1.2 GiB.
 """
 
 from __future__ import annotations
@@ -11,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadK, BudgetExceeded, TokenGraphError
-from .graphs import Graph, _bits, complete_graph
+from .graphs import Graph, _bits, _mask, complete_graph
 from .subsets import KSubset, SubsetCodec
 
-DEFAULT_VERTEX_BUDGET = 10**6
+DEFAULT_VERTEX_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -36,10 +46,7 @@ class TokenGraph:
 
     def vertex_labels(self) -> list[str]:
         """Human-readable subset labels, e.g. '{1,3}', indexed by vertex id."""
-        return [
-            "{" + ",".join(str(v) for v in self.codec.unrank(r).members) + "}"
-            for r in range(self.codec.size)
-        ]
+        return ["{" + ",".join(map(str, _bits(mask))) + "}" for mask in self.codec.masks()]
 
 
 def _check_k(n: int, k: int) -> None:
@@ -53,7 +60,7 @@ def build_token_graph(
     """Build the k-token graph of g.
 
     Raises BadK unless 1 <= k < n, BudgetExceeded when C(n, k) would pass
-    `vertex_budget`.
+    `vertex_budget` (checked before anything is allocated).
     """
     n = g.n
     _check_k(n, k)
@@ -62,21 +69,25 @@ def build_token_graph(
     if size > vertex_budget:
         raise BudgetExceeded(
             f"C({n},{k}) = {size} token vertices exceed the budget {vertex_budget}"
+            f" (bitmask rows would need up to about {size * size / 8 / 2**20:,.0f} MiB)"
         )
-    masks = [codec.unrank_mask(r) for r in range(size)]
+    masks = codec.masks()
     rank_of = {mask: r for r, mask in enumerate(masks)}
-    base_edges = g.edges()
-    adj = [0] * size
-    for r, amask in enumerate(masks):
-        for u, v in base_edges:
-            bu = 1 << u
-            bv = 1 << v
-            # exactly one endpoint inside the subset: the token can slide
-            if bool(amask & bu) != bool(amask & bv):
-                s = rank_of[amask ^ (bu | bv)]
-                if r < s:
-                    adj[r] |= 1 << s
-                    adj[s] |= 1 << r
+    base_adj = g._adj
+    adj = []
+    for a in masks:
+        row = 0
+        tokens = a
+        while tokens:
+            bu = tokens & -tokens
+            tokens ^= bu
+            others = a ^ bu
+            free = base_adj[bu.bit_length() - 1] & ~a
+            while free:
+                bw = free & -free
+                free ^= bw
+                row |= 1 << rank_of[others | bw]
+        adj.append(row)
     token = Graph._from_adj(adj)
     # A connected base must give a connected token graph; check, don't assume.
     if size and g.is_connected() and not token.is_connected():
@@ -89,10 +100,7 @@ def token_degree(g: Graph, subset) -> int:
 
     This is the size of the edge cut between the subset and its complement.
     """
-    amask = subset.mask if isinstance(subset, KSubset) else 0
-    if not isinstance(subset, KSubset):
-        for v in subset:
-            amask |= 1 << v
+    amask = subset.mask if isinstance(subset, KSubset) else _mask(subset)
     total = 0
     mask = amask
     while mask:
@@ -131,7 +139,7 @@ def complement_isomorphism_check(g: Graph, k: int) -> bool:
     co = fnk.codec
     # map: rank r of a k-subset -> rank of its complement as an (n-k)-subset
     full = (1 << n) - 1
-    to_co = [co.rank_mask(full ^ fk.codec.unrank_mask(r)) for r in range(fk.codec.size)]
+    to_co = [co.rank_mask(full ^ mask) for mask in fk.codec.masks()]
     for r in range(fk.codec.size):
         image = 0
         for s in _bits(fk.graph._adj[r]):

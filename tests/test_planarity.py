@@ -4,6 +4,7 @@ import pytest
 
 from tokengraphs import (
     Graph,
+    PlanarityVerdict,
     SizeLimitExceeded,
     complete_bipartite_graph,
     complete_graph,
@@ -62,6 +63,21 @@ def test_verdict_methods():
     two_parts = Graph(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
     v = is_planar(two_parts)
     assert v.planar and v.method == "component-split"
+
+
+def test_dense_disconnected_graph_is_rejected_by_the_euler_bound(monkeypatch):
+    """m > 3n - 6 rejects the whole graph before any component split."""
+    g = Graph(8, complete_graph(7).edges())  # K7 and an isolated vertex: 21 > 3*8 - 6
+    sparse = Graph(11, complete_graph(5).edges() + [(6, 7)])  # 11 <= 27
+    assert len(g.connected_components()) == 2
+    # below the global bound, a dense component is still found by the split
+    assert is_planar(sparse) == PlanarityVerdict(False, "component-split")
+
+    def no_split(self):
+        raise AssertionError("the Euler bound must not need a component split")
+
+    monkeypatch.setattr(Graph, "connected_components", no_split)
+    assert is_planar(g) == PlanarityVerdict(False, "euler-bound")
 
 
 def test_verdict_is_truthy():

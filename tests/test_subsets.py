@@ -21,6 +21,13 @@ def test_codec_matches_colex_enumeration():
             assert subsets == colex_sorted(n, k)
 
 
+def test_masks_list_every_subset_in_rank_order():
+    for n in range(0, 13):
+        for k in range(0, n + 1):
+            codec = SubsetCodec(n, k)
+            assert codec.masks() == [codec.unrank_mask(r) for r in range(codec.size)]
+
+
 def test_rank_is_the_inverse_of_unrank():
     rng = random.Random(31)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -7,10 +8,12 @@ from tokengraphs import (
     BadK,
     BudgetExceeded,
     Graph,
+    SubsetCodec,
     build_token_graph,
     complement_isomorphism_check,
     complete_graph,
     cycle_graph,
+    empty_graph,
     johnson,
     johnson_complement,
     path_graph,
@@ -22,20 +25,32 @@ from util import brute_token_edges, random_graph
 
 
 def test_token_graph_matches_brute_force():
-    """Labeled equality against the from-scratch symmetric-difference oracle."""
+    """Labeled equality against the from-scratch symmetric-difference oracle,
+    for n <= 10, with disconnected and edgeless bases, and k = 1, n - 1."""
     rng = random.Random(1003)
-    for _ in range(80):
-        n = rng.randint(2, 7)
-        k = rng.randint(1, n - 1)
-        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-        subs, edges = brute_token_edges(g, k)
-        tg = build_token_graph(g, k)
-        assert tg.graph.n == len(subs)
-        assert set(tg.graph.edges()) == set(edges)
-        # codec layout agrees with the oracle's colex enumeration
-        for i, s in enumerate(subs):
-            assert tg.subset_of(i).members == s
-            assert tg.vertex_of(s) == i
+    bases = [empty_graph(n) for n in range(2, 11)]
+    bases += [random_graph(rng, rng.randint(2, 10), rng.uniform(0.0, 0.4)) for _ in range(40)]
+    bases += [random_graph(rng, rng.randint(2, 10), rng.uniform(0.3, 1.0)) for _ in range(40)]
+    assert any(not g.is_connected() and g.m for g in bases)
+    for g in bases:
+        n = g.n
+        for k in sorted({1, n - 1, rng.randint(1, n - 1)}):
+            subs, edges = brute_token_edges(g, k)
+            tg = build_token_graph(g, k)
+            assert tg.graph == Graph(len(subs), edges), (g.edges(), k)
+            # codec layout agrees with the oracle's colex enumeration
+            for i, s in enumerate(subs):
+                assert tg.subset_of(i).members == s
+                assert tg.vertex_of(s) == i
+
+
+def test_build_never_unranks(monkeypatch):
+    def refuse(self, r):
+        raise AssertionError("unrank_mask on the build path")
+
+    monkeypatch.setattr(SubsetCodec, "unrank_mask", refuse)
+    tg = build_token_graph(cycle_graph(9), 4)
+    assert (tg.graph.n, tg.graph.m) == (126, 9 * comb(7, 3))
 
 
 def test_one_token_graph_is_the_base_graph():
@@ -74,6 +89,20 @@ def test_vertex_budget():
     # a custom budget tightens the cap
     with pytest.raises(BudgetExceeded):
         build_token_graph(complete_graph(6), 3, vertex_budget=10)
+
+
+def test_default_budget_rejects_before_allocating():
+    """C(20, 8) = 125,970 > 10^5: its rows would need gigabytes, so the build
+    must stop before it lists a single subset."""
+    g = complete_graph(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"C\(20,8\) = 125970 .* MiB"):
+            build_token_graph(g, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_johnson_is_the_complete_base_case():
