@@ -7,8 +7,9 @@ irregular, and the verdict carries a concrete witness pair of token vertices
 with different degrees.
 
 `classify_planarity` decides planarity of F_k(g) for connected g: structural
-certificates first, the path characterization for n > 10, and an honest
-build-and-test fallback at small orders where no characterization exists.
+certificates first, the path characterization for n > 10, and at small
+orders, where no characterization exists, `token_planarity`: the token
+graph's edge-count bound, then a build and test.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .graphs import Graph, _bits, _iter_embeddings, path_graph
 from .minors import nonplanarity_by_minor
-from .planarity import is_planar
+from .planarity import token_planarity
 from .subsets import SubsetCodec
 from .tokens import build_token_graph, token_degree
 
@@ -224,7 +225,9 @@ class TokenPlanarity:
 
     method is "structural" (a certificate in g forced non-planarity),
     "characterization" (the large-order path criterion), or "computed"
-    (token graph built and tested; reason carries the tester's stage).
+    (`token_planarity`; reason carries its stage: "token-edge-bound" when
+    the closed-form edge count rejected F_k(g) unbuilt, else the stage of
+    `is_planar` on the built token graph).
     """
 
     planar: bool
@@ -249,7 +252,7 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
             "characterization",
             "not-a-path" if not g.is_path_graph() else "inner-k",
         )
-    verdict = is_planar(build_token_graph(g, k).graph)
+    verdict = token_planarity(g, k)
     return TokenPlanarity(verdict.planar, "computed", verdict.method)
 
 

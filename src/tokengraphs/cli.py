@@ -40,6 +40,13 @@ def _read_graphs(args) -> list[Graph]:
     return graphs
 
 
+def _read_one_graph(args) -> Graph:
+    graphs = _read_graphs(args)
+    if len(graphs) != 1:
+        raise TokenGraphError(f"expected exactly one graph, got {len(graphs)}")
+    return graphs[0]
+
+
 def _dot(tg: TokenGraph) -> str:
     lines = ["graph tokens {"]
     for r, label in enumerate(tg.vertex_labels()):
@@ -108,7 +115,7 @@ def _cmd_planar(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    (g,) = _read_graphs(args)
+    g = _read_one_graph(args)
     if args.what == "regularity":
         v = classify_regularity(g, args.k)
         witness = None
@@ -146,7 +153,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    (g,) = _read_graphs(args)
+    g = _read_one_graph(args)
     with open(args.script, "r", encoding="ascii") as fh:
         ops = parse_script(fh.read())
     lifted = lift_script(g, args.k, ops)
@@ -174,7 +181,7 @@ def _cmd_lift(args) -> int:
 def _cmd_search(args) -> int:
     report = edge_maximal_search(
         args.k,
-        range(args.n_min if args.n_min else 2 * args.k, args.n_max + 1),
+        range(2 * args.k if args.n_min is None else args.n_min, args.n_max + 1),
         jobs=args.jobs,
         budget_secs=args.budget_secs,
         prune=not args.verbatim,

@@ -239,6 +239,26 @@ class Graph:
             left &= ~comp
         return out
 
+    def is_bipartite(self) -> bool:
+        """True iff no component has an odd cycle.
+
+        Breadth-first search by layers, one component at a time: a layer is
+        one colour class, and an edge inside a layer closes an odd cycle.
+        """
+        left = (1 << self.n) - 1
+        while left:
+            frontier = seen = left & -left
+            while frontier:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= self._adj[v]
+                if reach & frontier:
+                    return False
+                frontier = reach & ~seen
+                seen |= frontier
+            left &= ~seen
+        return True
+
     def is_forest(self) -> bool:
         # n - (#components) edges is the tree bound; equality means no cycle.
         return self.m == self.n - len(self.connected_components())

@@ -6,6 +6,10 @@ component that exceeds the bound, and run the left-right test (Brandes) on
 the rest. Both DFS passes are iterative because token graphs routinely reach
 several hundred vertices.
 
+`token_planarity` is the one path from "is F_k(g) planar?" to a verdict: it
+rejects by the token graph's edge count, known in closed form, before it
+builds anything, and otherwise builds F_k(g) and runs `is_planar`.
+
 `planarity_oracle` is a deliberately independent cross-check for small graphs:
 planarity is decided by exhaustively searching for a K5 or K3,3 minor through
 contraction sequences, with degree-<=2 simplification and a global memo keyed
@@ -17,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .canon import canonical_graph6
 from .errors import SizeLimitExceeded
 from .graphs import Graph, _bits, _mask
+from .tokens import _check_k, build_token_graph
 
 ORACLE_MAX_N = 10
 
@@ -33,7 +39,9 @@ class PlanarityVerdict:
     (m > 3n - 6, connected or not), "left-right" when the LR test ran on a
     connected graph, and "component-split" when the answer was aggregated
     over several components. So a dense disconnected graph reports
-    "euler-bound", not "component-split".
+    "euler-bound", not "component-split". `token_planarity` adds
+    "token-edge-bound": F_k(g) was rejected by its closed-form edge count
+    without being built.
     """
 
     planar: bool
@@ -291,6 +299,25 @@ def is_planar(g: Graph) -> PlanarityVerdict:
         if not _component_verdict(g.induced_subgraph(_bits(mask))).planar:
             return PlanarityVerdict(False, "component-split")
     return PlanarityVerdict(True, "component-split")
+
+
+def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
+    """Planarity of F_k(g), rejected by its edge count before any build.
+
+    F_k(g) has V = C(n, k) vertices and E = m * C(n-2, k-1) edges (each edge
+    of g moves a token while k - 1 others sit on the remaining n - 2
+    vertices). A planar graph with V >= 3 has E <= 3V - 6, and a bipartite
+    one E <= 2V - 4. F_k(g) is bipartite when g is: a move changes the
+    number of tokens on one side of g by exactly one. Past either bound the
+    verdict is "token-edge-bound"; otherwise F_k(g) is built and tested by
+    `is_planar`. Raises BadK unless 1 <= k < n.
+    """
+    _check_k(g.n, k)
+    v = comb(g.n, k)
+    e = g.m * comb(g.n - 2, k - 1)
+    if v >= 3 and (e > 3 * v - 6 or (e > 2 * v - 4 and g.is_bipartite())):
+        return PlanarityVerdict(False, "token-edge-bound")
+    return is_planar(build_token_graph(g, k).graph)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,24 @@ Every level is generated in one way: take all single-edge children of the
 previous level's graphs and keep one graph per canonical form
 (`canonical_graph6`). `graph_classes(n, m)` grows that way from the empty
 graph on n vertices. The search starts from the trees on n vertices, grown
-one leaf at a time from a single vertex and deduplicated the same way, and
-grows every later level from the one before. Adding edges keeps a graph connected, and every connected graph with
-a cycle loses a cycle edge to a connected graph, so growth from the trees
-reaches each connected class exactly once per (n, m) level.
+one leaf at a time from a single vertex and deduplicated by `_tree_key`, a
+canonical form for trees that needs no general labelling, and grows every
+later level from the one before. Adding edges keeps a graph connected, and
+every connected graph with a cycle loses a cycle edge to a connected graph,
+so growth from the trees reaches each connected class exactly once per
+(n, m) level.
 
 The search walks m upward from n-1 per order n, keeps the graphs whose
-k-token graphs are planar, records the edge-maximal ones (no single edge can
-be added without losing token planarity), and stops at the first m with no
-survivor. Planarity of token graphs only ever degrades when edges are added
-to the base, so every survivor at level m is a child of a survivor at level
-m - 1. The two modes differ only in which level they grow from: "pruned"
-mode (the default) grows from the previous level's survivors, "verbatim"
-mode from the whole previous level, which cross-checks the pruning. "file"
-mode reads each level from a graph6 stream instead of growing it.
+k-token graphs are planar (`token_planarity`, which rejects by the token
+graph's edge count before building it), records the edge-maximal ones (no
+single edge can be added without losing token planarity), and stops at the
+first m with no survivor. Planarity of token graphs only ever degrades when
+edges are added to the base, so every survivor at level m is a child of a
+survivor at level m - 1. The two modes differ only in which level they grow
+from: "pruned" mode (the default) grows from the previous level's
+survivors, "verbatim" mode from the whole previous level, which
+cross-checks the pruning. "file" mode reads each level from a graph6
+stream instead of growing it.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from itertools import count
 from .canon import canonical_graph6
 from .errors import BadK, SizeLimitExceeded
 from .graph6 import iter_graph6
-from .graphs import Graph, empty_graph
-from .planarity import is_planar
-from .tokens import build_token_graph
+from .graphs import Graph, _bits, _mask, empty_graph
+from .planarity import token_planarity
 
 GENERATOR_MAX_N = 10
 BUDGET_ENV_VAR = "TOKENS_BUDGET_SECS"
@@ -43,36 +46,63 @@ BUDGET_ENV_VAR = "TOKENS_BUDGET_SECS"
 # canonical-form growth
 
 
-def _dedup_by_canon(graphs) -> list[Graph]:
+def _dedup(graphs, key) -> list[Graph]:
+    """The first graph of each `key` class, in order of appearance."""
     seen: set[str] = set()
     out = []
     for g in graphs:
-        key = canonical_graph6(g)
-        if key not in seen:
-            seen.add(key)
+        label = key(g)
+        if label not in seen:
+            seen.add(label)
             out.append(g)
     return out
 
 
 def _grow(level) -> list[Graph]:
     """Every single-edge child of `level`, one per isomorphism class."""
-    return _dedup_by_canon(
-        g.with_edge(u, v)
-        for g in level
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
+    return _dedup(
+        (
+            g.with_edge(u, v)
+            for g in level
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+            if not g.has_edge(u, v)
+        ),
+        canonical_graph6,
     )
+
+
+def _tree_key(t: Graph) -> str:
+    """Canonical string of a tree (Aho, Hopcroft & Ullman 1974, section 3.2).
+
+    Strip all leaves at once until the one or two centres remain, then encode
+    the tree rooted at a centre as nested parentheses, each vertex's child
+    encodings sorted; two trees are isomorphic iff their minima over the
+    centres agree.
+    """
+    adj = t._adj
+    core = (1 << t.n) - 1
+    while core.bit_count() > 2:
+        core &= ~_mask(v for v in _bits(core) if (adj[v] & core).bit_count() == 1)
+
+    def rooted(v: int, parent: int) -> str:
+        children = sorted(rooted(w, v) for w in _bits(adj[v]) if w != parent)
+        return "(" + "".join(children) + ")"
+
+    return min(rooted(c, -1) for c in _bits(core))
 
 
 def _trees(n: int) -> list[Graph]:
     """One tree per isomorphism class on n >= 1 vertices, grown leaf by leaf."""
     level = [Graph(1)]
     for size in range(2, n + 1):
-        level = _dedup_by_canon(
-            Graph(size, t.edges() + [(v, size - 1)])
-            for t in level
-            for v in range(size - 1)
+        level = _dedup(
+            (
+                Graph(size, t.edges() + [(v, size - 1)])
+                for t in level
+                for v in range(size - 1)
+            ),
+            _tree_key,
         )
     return level
 
@@ -116,10 +146,13 @@ def connected_graphs(n: int, m: int, *, from_file: str | None = None):
     if from_file is not None:
         with open(from_file, "r", encoding="ascii") as fh:
             text = fh.read()
-        yield from _dedup_by_canon(
-            g
-            for g in iter_graph6(text)
-            if g.n == n and g.m == m and g.is_connected()
+        yield from _dedup(
+            (
+                g
+                for g in iter_graph6(text)
+                if g.n == n and g.m == m and g.is_connected()
+            ),
+            canonical_graph6,
         )
         return
     for g in graph_classes(n, m):
@@ -174,13 +207,13 @@ def verify_maximality(g: Graph, k: int) -> bool:
     n = g.n
     if not 2 <= k <= n - 2:
         raise BadK(f"maximality check needs 2 <= k <= n-2, got k={k}, n={n}")
-    if not is_planar(build_token_graph(g, k).graph).planar:
+    if not token_planarity(g, k).planar:
         return False
     for u in range(n):
         for v in range(u + 1, n):
             if g.has_edge(u, v):
                 continue
-            if is_planar(build_token_graph(g.with_edge(u, v), k).graph).planar:
+            if token_planarity(g.with_edge(u, v), k).planar:
                 return False
     return True
 
@@ -188,7 +221,7 @@ def verify_maximality(g: Graph, k: int) -> bool:
 def _token_planar(args: tuple[Graph, int]) -> bool:
     """Worker: (graph, k) -> whether F_k(graph) is planar."""
     g, k = args
-    return is_planar(build_token_graph(g, k).graph).planar
+    return token_planarity(g, k).planar
 
 
 class _Budget:

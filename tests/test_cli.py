@@ -169,3 +169,24 @@ def test_non_ascii_input_is_an_input_error(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_single_graph_commands_reject_several_graphs(tmp_path, monkeypatch, capsys):
+    script = tmp_path / "ops.txt"
+    script.write_text("de 0 1\n")
+    for argv in (
+        ("classify", "planarity", "-k", "2"),
+        ("classify", "regularity", "-k", "2"),
+        ("lift", "-k", "2", "--script", str(script)),
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO("DUW\nDUW\n"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: expected exactly one graph, got 2\n"
+
+
+def test_search_n_min_zero_is_not_ignored(capsys):
+    code, out, err = run(capsys, "search", "-k", "2", "--n-min", "0", "--n-max", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: n=0 is below 2k=4")

@@ -221,3 +221,53 @@ def test_complete_bipartite():
     g = complete_bipartite_graph(2, 3)
     assert g.n == 5 and g.m == 6
     assert g.degree_multiset() == (2, 2, 2, 3, 3)
+
+
+
+def _disjoint_union(*graphs) -> Graph:
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return Graph(offset, edges)
+
+
+def test_is_bipartite():
+    for n in range(3, 10):
+        assert cycle_graph(n).is_bipartite() == (n % 2 == 0)
+    for a, b in ((1, 1), (1, 4), (2, 3), (3, 3), (4, 5)):
+        assert complete_bipartite_graph(a, b).is_bipartite()
+    assert empty_graph(5).is_bipartite()
+    assert Graph(0).is_bipartite()
+    assert Graph(1).is_bipartite()
+    assert not complete_graph(3).is_bipartite()
+    assert not octahedron_graph().is_bipartite()
+    assert not petersen_graph().is_bipartite()
+    # one odd component beside bipartite ones, in every position
+    parts = [cycle_graph(4), path_graph(3), empty_graph(2)]
+    assert _disjoint_union(*parts).is_bipartite()
+    for i in range(len(parts) + 1):
+        mixed = parts[:i] + [cycle_graph(5)] + parts[i:]
+        assert not _disjoint_union(*mixed).is_bipartite()
+
+
+def test_is_bipartite_matches_two_colouring_on_random_graphs():
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.1, 0.2, 0.4)))
+        colour = {}
+        ok = True
+        for s in range(g.n):
+            if s in colour:
+                continue
+            colour[s] = 0
+            stack = [s]
+            while stack:
+                v = stack.pop()
+                for w in g.neighbors(v):
+                    if w not in colour:
+                        colour[w] = 1 - colour[v]
+                        stack.append(w)
+                    elif colour[w] == colour[v]:
+                        ok = False
+        assert g.is_bipartite() == ok

@@ -1,23 +1,29 @@
 import random
+from collections import Counter
 
 import pytest
 
 from tokengraphs import (
+    BadK,
     Graph,
     PlanarityVerdict,
     SizeLimitExceeded,
+    build_token_graph,
     complete_bipartite_graph,
     complete_graph,
     connected_graphs,
     cycle_graph,
     empty_graph,
+    encode_graph6,
     is_planar,
     octahedron_graph,
     path_graph,
     petersen_graph,
     planarity_oracle,
     star_graph,
+    token_planarity,
 )
+from tokengraphs.search import _trees
 
 from util import random_graph
 
@@ -123,3 +129,51 @@ def test_large_planar_and_dense_inputs():
     assert is_planar(ladder)
     assert not is_planar(complete_graph(40))
     assert is_planar(complete_graph(40)).method == "euler-bound"
+
+
+def test_token_planarity_is_sound_and_otherwise_equals_the_build():
+    """An edge-bound reject is non-planar when built; any other verdict is the build's."""
+    cases = [
+        (g, k)
+        for n in range(4, 8)
+        for m in range(n - 1, n * (n - 1) // 2 + 1)
+        for g in connected_graphs(n, m)
+        for k in range(2, n - 1)
+    ]
+    cases += [
+        (t, k) for n in range(3, 11) for t in _trees(n) for k in range(2, min(n, 5))
+    ]
+    stages = Counter()
+    for g, k in cases:
+        verdict = token_planarity(g, k)
+        built = is_planar(build_token_graph(g, k).graph)
+        stages[verdict.method] += 1
+        if verdict.method == "token-edge-bound":
+            assert not built.planar, (encode_graph6(g), k)
+        else:
+            assert verdict == built, (encode_graph6(g), k)
+    assert stages["token-edge-bound"] and stages["left-right"]
+    # only the bipartite bound can reject a tree at k = 4 (E <= 3V - 6 there)
+    for n in range(8, 11):
+        for t in _trees(n):
+            assert token_planarity(t, 4) == PlanarityVerdict(False, "token-edge-bound")
+
+
+def test_token_planarity_tests_bipartiteness_only_when_needed(monkeypatch):
+    def no_colouring(self):
+        raise AssertionError("the bipartite bound would not fire here")
+
+    monkeypatch.setattr(Graph, "is_bipartite", no_colouring)
+    # P5 at k = 2: E = 12 <= 2V - 4 = 16
+    assert token_planarity(path_graph(5), 2) == PlanarityVerdict(True, "left-right")
+    # K5 at k = 2: E = 30 > 3V - 6 = 24
+    rejected = PlanarityVerdict(False, "token-edge-bound")
+    assert token_planarity(complete_graph(5), 2) == rejected
+
+
+def test_token_planarity_input_contract():
+    for k in (0, 5, 6):
+        with pytest.raises(BadK):
+            token_planarity(path_graph(5), k)
+    # V < 3 leaves nothing to bound: F_1(K_2) is K_2
+    assert token_planarity(complete_graph(2), 1) == PlanarityVerdict(True, "left-right")

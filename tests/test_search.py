@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import tokengraphs.planarity
 import tokengraphs.search
 from tokengraphs import (
     BadK,
+    Graph,
     SearchReport,
     SizeLimitExceeded,
     canonical_graph6,
@@ -20,12 +22,17 @@ from tokengraphs import (
     path_graph,
     verify_maximality,
 )
+from tokengraphs.search import _tree_key, _trees
 
-from util import shuffled
+from util import random_tree, shuffled
 
 # published counts of isomorphism classes of simple graphs
 TOTAL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# OEIS A000055: unlabelled trees on n vertices
+TREES = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551
+}
 
 
 def test_generator_counts_match_published_values():
@@ -55,6 +62,40 @@ def test_tree_counts():
     assert sum(1 for _ in connected_graphs(7, 6)) == 11
     # the classic count of unlabeled trees on ten vertices
     assert sum(1 for _ in connected_graphs(10, 9)) == 106
+
+
+def test_trees_match_published_counts():
+    for n, count in TREES.items():
+        trees = _trees(n)
+        assert len(trees) == count
+        assert all(t.n == n and t.is_tree() for t in trees)
+        assert len({canonical_graph6(t) for t in trees}) == count
+
+
+def test_trees_agree_with_canonical_form_growth():
+    """The tree key keeps the same classes as deduplicating by canonical_graph6."""
+    level = {canonical_graph6(Graph(1)): Graph(1)}
+    for n in range(1, 11):
+        if n > 1:
+            children = {}
+            for t in level.values():
+                for v in range(n - 1):
+                    child = Graph(n, t.edges() + [(v, n - 1)])
+                    children.setdefault(canonical_graph6(child), child)
+            level = children
+        assert {canonical_graph6(t) for t in _trees(n)} == set(level)
+
+
+def test_tree_key_is_a_relabelling_invariant():
+    rng = random.Random(5)
+    for _ in range(200):
+        t = random_tree(rng, rng.randint(1, 14))
+        assert _tree_key(shuffled(rng, t)) == _tree_key(t)
+    # two trees on 7 vertices with the same degree sequence
+    spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    broom = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (5, 6)])
+    assert spider.degree_multiset() == broom.degree_multiset()
+    assert _tree_key(spider) != _tree_key(broom)
 
 
 def test_dense_levels_use_complements():
@@ -88,6 +129,20 @@ def test_verify_maximality_examples():
     assert verify_maximality(decode_graph6("EHwg"), 3)
     with pytest.raises(BadK):
         verify_maximality(complete_graph(4), 3)
+
+
+def test_k4_census_builds_no_token_graph(monkeypatch):
+    """Every tree on 8..10 vertices breaks the bipartite edge bound at k = 4."""
+    expected = edge_maximal_search(4, range(8, 11))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the edge count should decide every k = 4 candidate")
+
+    monkeypatch.setattr(tokengraphs.planarity, "build_token_graph", no_build)
+    report = edge_maximal_search(4, range(8, 11))
+    assert report.maximal == ()
+    assert report.entries == expected.entries
+    assert report.stopped_at == {8: 7, 9: 8, 10: 9}
 
 
 def test_search_rejects_bad_ranges():
