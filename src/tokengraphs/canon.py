@@ -255,7 +255,10 @@ def _search(g: Graph):
         raise SizeLimitExceeded(f"canonical labeling capped at n <= {CANON_MAX_N}")
     if g.n == 0:
         return 0, (), []
-    return _Search(g).run()
+    try:
+        return _Search(g).run()
+    except RecursionError:  # the search recurses once per individualised vertex
+        raise SizeLimitExceeded(f"canonical labeling recursed too deep at n={g.n}") from None
 
 
 def _relabeled(g: Graph, perm) -> Graph:

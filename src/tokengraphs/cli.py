@@ -242,7 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--from-file", help="graph6 stream replacing the generator")
+    p.add_argument(
+        "--from-file", help="graph6 stream of complete levels, as geng -c writes them"
+    )
     p.add_argument(
         "--verbatim",
         action="store_true",

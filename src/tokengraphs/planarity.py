@@ -1,10 +1,9 @@
 """Planarity testing.
 
 `is_planar` is the production path: reject the graph outright when it exceeds
-the 3n - 6 edge bound, otherwise split it into connected components, reject a
-component that exceeds the bound, and run the left-right test (Brandes) on
-the rest. Both DFS passes are iterative because token graphs routinely reach
-several hundred vertices.
+the 3n - 6 edge bound, otherwise run the left-right test (Brandes) on the
+whole graph, which walks one DFS tree per component. Both DFS passes are
+iterative because token graphs routinely reach several hundred vertices.
 
 `token_planarity` is the one path from "is F_k(g) planar?" to a verdict: it
 rejects by the token graph's edge count, known in closed form, before it
@@ -36,12 +35,9 @@ class PlanarityVerdict:
     """Outcome plus which stage decided it.
 
     method is "euler-bound" when the edge count alone rejected the graph
-    (m > 3n - 6, connected or not), "left-right" when the LR test ran on a
-    connected graph, and "component-split" when the answer was aggregated
-    over several components. So a dense disconnected graph reports
-    "euler-bound", not "component-split". `token_planarity` adds
-    "token-edge-bound": F_k(g) was rejected by its closed-form edge count
-    without being built.
+    (m > 3n - 6, connected or not) and "left-right" when the LR test decided
+    it. `token_planarity` adds "token-edge-bound": F_k(g) was rejected by its
+    closed-form edge count without being built.
     """
 
     planar: bool
@@ -280,25 +276,12 @@ class _LeftRight:
         self.S.append(P)
 
 
-def _component_verdict(g: Graph) -> PlanarityVerdict:
-    if g.n >= 5 and g.m > 3 * g.n - 6:
-        return PlanarityVerdict(False, "euler-bound")
-    return PlanarityVerdict(_LeftRight(g).run(), "left-right")
-
-
 def is_planar(g: Graph) -> PlanarityVerdict:
-    """Planarity of g; disconnected graphs are tested component by component."""
-    # Every simple planar graph on n >= 3 vertices has m <= 3n - 6, connected
-    # or not, so the bound needs no component split.
+    """Planarity of g, connected or not."""
+    # Every simple planar graph on n >= 3 vertices has m <= 3n - 6.
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return PlanarityVerdict(False, "euler-bound")
-    comps = g.connected_components()
-    if len(comps) <= 1:
-        return _component_verdict(g)
-    for mask in comps:
-        if not _component_verdict(g.induced_subgraph(_bits(mask))).planar:
-            return PlanarityVerdict(False, "component-split")
-    return PlanarityVerdict(True, "component-split")
+    return PlanarityVerdict(_LeftRight(g).run(), "left-right")
 
 
 def token_planarity(g: Graph, k: int) -> PlanarityVerdict:

@@ -13,15 +13,15 @@ so growth from the trees reaches each connected class exactly once per
 
 The search walks m upward from n-1 per order n, keeps the graphs whose
 k-token graphs are planar (`token_planarity`, which rejects by the token
-graph's edge count before building it), records the edge-maximal ones (no
-single edge can be added without losing token planarity), and stops at the
-first m with no survivor. Planarity of token graphs only ever degrades when
-edges are added to the base, so every survivor at level m is a child of a
-survivor at level m - 1. The two modes differ only in which level they grow
-from: "pruned" mode (the default) grows from the previous level's
-survivors, "verbatim" mode from the whole previous level, which
-cross-checks the pruning. "file" mode reads each level from a graph6
-stream instead of growing it.
+graph's edge count before building it), and stops at the first m with no
+survivor. Planarity of token graphs only ever degrades when edges are added
+to the base, so every survivor at level m is a child of a survivor at level
+m - 1, and a survivor is edge-maximal iff no survivor of level m + 1 loses
+an edge to it. The two modes differ only in which level they grow from:
+"pruned" mode (the default) grows from the previous level's survivors,
+"verbatim" mode from the whole previous level, which cross-checks the
+pruning. "file" mode reads each level from a graph6 stream instead of
+growing it; each level there must be complete, as `geng -c` writes it.
 """
 
 from __future__ import annotations
@@ -154,6 +154,9 @@ def connected_graphs(n: int, m: int, *, from_file: str | None = None):
             ),
             canonical_graph6,
         )
+        return
+    if m == n - 1 and 0 < n <= GENERATOR_MAX_N:
+        yield from _trees(n)
         return
     for g in graph_classes(n, m):
         if g.is_connected():
@@ -306,25 +309,31 @@ def edge_maximal_search(
 def _search_order(
     n, k, mode, from_file, planar_map, budget, entries, maximal, stopped_at
 ) -> bool:
-    """One order, level by level from m = n-1. Returns True when the budget ran out."""
+    """One order, level by level from m = n-1. Returns True when the budget ran out.
+
+    Survivors are reported maximal once the next level is tested; a budget
+    cut leaves the pending ones unreported.
+    """
     level: list[Graph] = []
+    pending: list[Graph] = []  # survivors of level m - 1
     for m in count(n - 1):
         if budget.exhausted():
             return True
-        if mode == "file":
+        if mode == "file" or m == n - 1:
             level = list(connected_graphs(n, m, from_file=from_file))
         else:
-            level = _trees(n) if m == n - 1 else _grow(level)
+            level = _grow(level)
         planar = planar_map(_token_planar, [(g, k) for g in level])
         survivors = [g for g, ok in zip(level, planar) if ok]
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
-        # checked per survivor rather than read off the next level, so the
-        # answer stays right when a file level is incomplete
-        maximal.extend(
-            canonical_graph6(g) for g in survivors if verify_maximality(g, k)
-        )
+        if pending:
+            parents = {
+                canonical_graph6(t.delete_edge(u, v)) for t in survivors for u, v in t.edges()
+            }
+            maximal.extend(s for s in map(canonical_graph6, pending) if s not in parents)
         if not survivors:
             stopped_at[n] = m
             return False
+        pending = survivors
         if mode == "pruned":
             level = survivors

@@ -3,7 +3,9 @@
 The k-token graph of g has one vertex per k-subset of V(g); two subsets are
 adjacent when their symmetric difference is an edge of g (slide one token
 along that edge). Vertex ids are colex ranks from SubsetCodec, so the
-layout is deterministic and cheap to invert.
+layout is deterministic and cheap to invert. F_k(g) is connected iff g is
+(Fabila-Monroy et al., Graphs Combin. 28, 2012), so the build does not
+check it again.
 
 The build never unranks. `SubsetCodec.masks` lists the subsets in colex
 order by Gosper's next-combination step, and one dict maps each mask back
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadK, BudgetExceeded, TokenGraphError
+from .errors import BadK, BudgetExceeded
 from .graphs import Graph, _bits, _mask, complete_graph
 from .subsets import KSubset, SubsetCodec
 
@@ -88,11 +90,7 @@ def build_token_graph(
                 free ^= bw
                 row |= 1 << rank_of[others | bw]
         adj.append(row)
-    token = Graph._from_adj(adj)
-    # A connected base must give a connected token graph; check, don't assume.
-    if size and g.is_connected() and not token.is_connected():
-        raise TokenGraphError("internal error: token graph of a connected base is disconnected")
-    return TokenGraph(base=g, k=k, graph=token, codec=codec)
+    return TokenGraph(base=g, k=k, graph=Graph._from_adj(adj), codec=codec)
 
 
 def token_degree(g: Graph, subset) -> int:

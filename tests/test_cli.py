@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tokengraphs import decode_graph6, encode_graph6, complete_graph, path_graph
+from tokengraphs import Graph, decode_graph6, encode_graph6, complete_graph, path_graph
 from tokengraphs.cli import main
 
 
@@ -190,3 +190,12 @@ def test_search_n_min_zero_is_not_ignored(capsys):
     code, out, err = run(capsys, "search", "-k", "2", "--n-min", "0", "--n-max", "5")
     assert code == 2 and out == ""
     assert err.startswith("error: n=0 is below 2k=4")
+
+
+def test_canon_too_deep_for_the_search_is_an_input_error(tmp_path, capsys):
+    """The labeller recurses once per individualised vertex: 999 here."""
+    edgeless = tmp_path / "edgeless.g6"
+    edgeless.write_text(encode_graph6(Graph(1000)) + "\n")
+    code, out, err = run(capsys, "canon", "--file", str(edgeless))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n=1000" in err

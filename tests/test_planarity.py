@@ -25,7 +25,7 @@ from tokengraphs import (
 )
 from tokengraphs.search import _trees
 
-from util import random_graph
+from util import random_graph, shuffled
 
 
 def test_known_planar_graphs():
@@ -68,7 +68,7 @@ def test_verdict_methods():
     assert is_planar(cycle_graph(5)).method == "left-right"
     two_parts = Graph(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
     v = is_planar(two_parts)
-    assert v.planar and v.method == "component-split"
+    assert v.planar and v.method == "left-right"
 
 
 def test_dense_disconnected_graph_is_rejected_by_the_euler_bound(monkeypatch):
@@ -76,8 +76,8 @@ def test_dense_disconnected_graph_is_rejected_by_the_euler_bound(monkeypatch):
     g = Graph(8, complete_graph(7).edges())  # K7 and an isolated vertex: 21 > 3*8 - 6
     sparse = Graph(11, complete_graph(5).edges() + [(6, 7)])  # 11 <= 27
     assert len(g.connected_components()) == 2
-    # below the global bound, a dense component is still found by the split
-    assert is_planar(sparse) == PlanarityVerdict(False, "component-split")
+    # below the global bound, a dense component is still found by the LR test
+    assert is_planar(sparse) == PlanarityVerdict(False, "left-right")
 
     def no_split(self):
         raise AssertionError("the Euler bound must not need a component split")
@@ -96,6 +96,36 @@ def test_disconnected_graphs():
     g = Graph(11, complete_graph(5).edges() + [(5 + u, 5 + v) for u, v in cycle_graph(6).edges()])
     assert not is_planar(g)
     assert is_planar(Graph(9, [(0, 1), (3, 4), (4, 5)]))
+
+
+def test_disjoint_unions_match_the_oracle_without_a_component_split(monkeypatch):
+    """The LR test walks every component itself; nothing splits the graph first."""
+    parts = [
+        g for n in range(1, 7) for m in range(n - 1, n * (n - 1) // 2 + 1)
+        for g in connected_graphs(n, m)
+    ]
+    rng = random.Random(2009)
+    unions = []
+    while len(unions) < 400:
+        chosen = rng.sample(parts, rng.randint(2, 3))
+        if sum(g.n for g in chosen) > 10:
+            continue
+        edges, offset = [], 0
+        for g in chosen:
+            edges += [(u + offset, v + offset) for u, v in g.edges()]
+            offset += g.n
+        unions.append(shuffled(rng, Graph(offset, edges)))
+
+    def no_split(self):
+        raise AssertionError("is_planar must not split components")
+
+    monkeypatch.setattr(Graph, "connected_components", no_split)
+    verdicts = Counter()
+    for g in unions:
+        verdict = is_planar(g)
+        assert verdict.planar == planarity_oracle(g), encode_graph6(g)
+        verdicts[verdict.planar, verdict.method] += 1
+    assert verdicts[True, "left-right"] and verdicts[False, "left-right"]
 
 
 def test_matches_minor_oracle_exhaustively():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,19 @@ CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREES = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551
 }
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def write_complete_levels(path, orders):
+    """Every connected class of every (n, m) level for n in `orders`, as graph6 lines."""
+    lines = [
+        encode_graph6(g)
+        for n in orders
+        for m in range(n - 1, n * (n - 1) // 2 + 1)
+        for g in connected_graphs(n, m)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def test_generator_counts_match_published_values():
@@ -119,6 +133,8 @@ def test_generator_size_cap_and_file_escape_hatch(tmp_path):
     # the shuffled path collapses onto the first copy; the cycle has 11 edges
     assert len(got) == 1
     assert got[0].degree_multiset() == path_graph(11).degree_multiset()
+    with pytest.raises(SizeLimitExceeded):
+        list(connected_graphs(11, 10))  # the trees keep the generator's cap
 
 
 def test_verify_maximality_examples():
@@ -199,12 +215,40 @@ def test_search_stops_once_a_level_has_no_survivors():
     assert stop < 6 * 5 // 2
 
 
-def test_every_reported_graph_passes_maximality_from_its_string():
-    report = edge_maximal_search(2, range(5, 8))
-    for text in report.maximal:
-        g = decode_graph6(text)
-        assert canonical_graph6(g) == text
-        assert verify_maximality(g, 2)
+def test_every_reported_graph_passes_maximality_from_its_string(tmp_path):
+    """The maximality read off the next level agrees with the direct check."""
+    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6))
+    reports = [
+        edge_maximal_search(k, range(lo, hi + 1), prune=prune)
+        for k, lo, hi in ((2, 5, 8), (3, 6, 8))
+        for prune in (True, False)
+    ]
+    reports.append(edge_maximal_search(2, range(5, 7), from_file=levels))
+    for report in reports:
+        assert report.maximal
+        for text in report.maximal:
+            g = decode_graph6(text)
+            assert canonical_graph6(g) == text
+            assert verify_maximality(g, report.k)
+
+
+def test_census_does_not_call_verify_maximality(monkeypatch):
+    def refuse(g, k):
+        raise AssertionError("maximality is read off the next level")
+
+    monkeypatch.setattr(tokengraphs.search, "verify_maximality", refuse)
+    report = edge_maximal_search(2, range(5, 11))
+    golden = (GOLDEN / "maximal_k2.g6").read_text().split()
+    assert list(report.maximal) == sorted(golden)
+
+
+def test_file_mode_on_complete_levels_matches_verbatim(tmp_path):
+    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6))
+    from_file = edge_maximal_search(2, range(5, 7), from_file=levels).to_json()
+    verbatim = edge_maximal_search(2, range(5, 7), prune=False).to_json()
+    for blob in (from_file, verbatim):
+        blob.pop("mode"), blob.pop("elapsed_secs")
+    assert from_file == verbatim
 
 
 def test_budget_flag_yields_partial_reports():

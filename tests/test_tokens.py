@@ -38,6 +38,8 @@ def test_token_graph_matches_brute_force():
             subs, edges = brute_token_edges(g, k)
             tg = build_token_graph(g, k)
             assert tg.graph == Graph(len(subs), edges), (g.edges(), k)
+            # F_k(g) is connected iff g is; the build leaves this unchecked
+            assert tg.graph.is_connected() == g.is_connected()
             # codec layout agrees with the oracle's colex enumeration
             for i, s in enumerate(subs):
                 assert tg.subset_of(i).members == s
@@ -49,6 +51,15 @@ def test_build_never_unranks(monkeypatch):
         raise AssertionError("unrank_mask on the build path")
 
     monkeypatch.setattr(SubsetCodec, "unrank_mask", refuse)
+    tg = build_token_graph(cycle_graph(9), 4)
+    assert (tg.graph.n, tg.graph.m) == (126, 9 * comb(7, 3))
+
+
+def test_build_does_not_recheck_connectivity(monkeypatch):
+    def refuse(self):
+        raise AssertionError("is_connected on the build path")
+
+    monkeypatch.setattr(Graph, "is_connected", refuse)
     tg = build_token_graph(cycle_graph(9), 4)
     assert (tg.graph.n, tg.graph.m) == (126, 9 * comb(7, 3))
 
