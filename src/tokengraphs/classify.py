@@ -128,14 +128,14 @@ def _substitution_witness(g: Graph, kk: int) -> RegularityWitness | None:
 
 
 def _scan_witness(g: Graph, kk: int) -> RegularityWitness | None:
-    codec = SubsetCodec(g.n, kk)
-    first = codec.unrank(0)
+    masks = SubsetCodec(g.n, kk).masks()
+    first = tuple(_bits(next(masks)))
     d0 = token_degree(g, first)
-    for r in range(1, codec.size):
-        s = codec.unrank(r)
+    for mask in masks:
+        s = tuple(_bits(mask))
         d = token_degree(g, s)
         if d != d0:
-            return RegularityWitness(first.members, s.members, d0, d, "scan")
+            return RegularityWitness(first, s, d0, d, "scan")
     return None
 
 
@@ -208,14 +208,11 @@ def uniform_substitution_degree(
     r2 = tdegs[0]
     c = Fraction(r2 - k * r1, 1 - k)
     if tg.codec.size * (n - k) <= verify_limit:
-        for r in range(tg.codec.size):
-            s = tg.codec.unrank(r)
-            for b in range(n):
-                if b in s:
-                    continue
-                observed = (g.adjacency_mask(b) & s.mask).bit_count()
+        for mask in tg.codec.masks():
+            for b in _bits(((1 << n) - 1) & ~mask):
+                observed = (g.adjacency_mask(b) & mask).bit_count()
                 if observed != c:
-                    return Inconsistent(s.members, b, observed, c)
+                    return Inconsistent(tuple(_bits(mask)), b, observed, c)
     return c
 
 

@@ -182,7 +182,6 @@ def _cmd_search(args) -> int:
     report = edge_maximal_search(
         args.k,
         range(2 * args.k if args.n_min is None else args.n_min, args.n_max + 1),
-        jobs=args.jobs,
         budget_secs=args.budget_secs,
         prune=not args.verbatim,
         from_file=args.from_file,
@@ -239,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, help="ignored: the search runs in one process")
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument(

@@ -87,7 +87,6 @@ class _LeftRight:
         self.bottom: dict = {}
         self.lowpt_edge: dict = {}
         self.ref: dict = {}
-        self.side: dict = {}
 
     def run(self) -> bool:
         roots = []
@@ -254,9 +253,7 @@ class _LeftRight:
     def _trim_back_edges(self, u: int) -> None:
         # drop entire conflict pairs that return to u
         while self.S and self._lowest(self.S[-1]) == self.height[u]:
-            P = self.S.pop()
-            if P.left.low is not None:
-                self.side[P.left.low] = -1
+            self.S.pop()
         if not self.S:
             return
         # trim one more pair's intervals
@@ -265,13 +262,11 @@ class _LeftRight:
             P.left.high = self.ref.get(P.left.high)
         if P.left.high is None and P.left.low is not None:
             self.ref[P.left.low] = P.right.low
-            self.side[P.left.low] = -1
             P.left.low = None
         while P.right.high is not None and P.right.high[1] == u:
             P.right.high = self.ref.get(P.right.high)
         if P.right.high is None and P.right.low is not None:
             self.ref[P.right.low] = P.left.low
-            self.side[P.right.low] = -1
             P.right.low = None
         self.S.append(P)
 

@@ -22,15 +22,15 @@ an edge to it. The two modes differ only in which level they grow from:
 "verbatim" mode from the whole previous level, which cross-checks the
 pruning. "file" mode reads each level from a graph6 stream instead of
 growing it; each level there must be complete, as `geng -c` writes it.
+One search grows its trees and decodes its graph6 stream only once.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 
 from .canon import canonical_graph6
 from .errors import BadK, SizeLimitExceeded
@@ -92,10 +92,12 @@ def _tree_key(t: Graph) -> str:
     return min(rooted(c, -1) for c in _bits(core))
 
 
-def _trees(n: int) -> list[Graph]:
-    """One tree per isomorphism class on n >= 1 vertices, grown leaf by leaf."""
+def _tree_levels():
+    """The trees of order 1, 2, 3, ..., one per class, each grown leaf by leaf from the last."""
     level = [Graph(1)]
-    for size in range(2, n + 1):
+    while True:
+        yield level
+        size = level[0].n + 1
         level = _dedup(
             (
                 Graph(size, t.edges() + [(v, size - 1)])
@@ -104,7 +106,11 @@ def _trees(n: int) -> list[Graph]:
             ),
             _tree_key,
         )
-    return level
+
+
+def _trees(n: int) -> list[Graph]:
+    """One tree per isomorphism class on n >= 1 vertices."""
+    return next(islice(_tree_levels(), n - 1, None))
 
 
 _LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {}
@@ -141,19 +147,24 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     return level
 
 
+def _read_levels(path: str, orders) -> dict[tuple[int, int], list[Graph]]:
+    """The connected graphs of a graph6 file with an order in `orders`, by (n, m).
+
+    Each bucket keeps the file's order and duplicates.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    levels: dict[tuple[int, int], list[Graph]] = {}
+    for g in iter_graph6(text):
+        if g.n in orders and g.is_connected():
+            levels.setdefault((g.n, g.m), []).append(g)
+    return levels
+
+
 def connected_graphs(n: int, m: int, *, from_file: str | None = None):
     """Stream one representative per isomorphism class of connected (n, m)-graphs."""
     if from_file is not None:
-        with open(from_file, "r", encoding="ascii") as fh:
-            text = fh.read()
-        yield from _dedup(
-            (
-                g
-                for g in iter_graph6(text)
-                if g.n == n and g.m == m and g.is_connected()
-            ),
-            canonical_graph6,
-        )
+        yield from _dedup(_read_levels(from_file, {n}).get((n, m), ()), canonical_graph6)
         return
     if m == n - 1 and 0 < n <= GENERATOR_MAX_N:
         yield from _trees(n)
@@ -221,12 +232,6 @@ def verify_maximality(g: Graph, k: int) -> bool:
     return True
 
 
-def _token_planar(args: tuple[Graph, int]) -> bool:
-    """Worker: (graph, k) -> whether F_k(graph) is planar."""
-    g, k = args
-    return token_planarity(g, k).planar
-
-
 class _Budget:
     def __init__(self, budget_secs: float | None):
         if budget_secs is None:
@@ -249,7 +254,6 @@ def edge_maximal_search(
     k: int,
     n_range,
     *,
-    jobs: int | None = None,
     budget_secs: float | None = None,
     prune: bool = True,
     from_file: str | None = None,
@@ -257,10 +261,9 @@ def edge_maximal_search(
     """Find all connected graphs with planar k-token graphs that are edge-maximal.
 
     Follows the ascending (n, m) protocol; see the module docstring for the
-    pruned/verbatim distinction. `jobs` > 1 tests planarity in a process
-    pool of at most one worker per CPU. A wall-clock budget (argument or the
-    TOKENS_BUDGET_SECS environment variable) turns the report partial rather
-    than raising.
+    pruned/verbatim distinction. The search runs in the calling process. A
+    wall-clock budget (argument or the TOKENS_BUDGET_SECS environment
+    variable) turns the report partial rather than raising.
     """
     if k < 2:
         raise BadK(f"the search is defined for k >= 2, got k={k}")
@@ -282,19 +285,12 @@ def edge_maximal_search(
     maximal: list[str] = []
     stopped_at: dict[int, int] = {}
     partial = False
-    workers = min(jobs or 1, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for n in ns:
-            partial = _search_order(
-                n, k, mode, from_file, pool.map if pool else map,
-                budget, entries, maximal, stopped_at,
-            )
-            if partial:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    trees = _tree_levels()  # advanced up the ascending orders, never restarted
+    levels = None if from_file is None else _read_levels(from_file, set(ns))
+    for n in ns:
+        partial = _search_order(n, k, mode, trees, levels, budget, entries, maximal, stopped_at)
+        if partial:
+            break
     return SearchReport(
         k=k,
         entries=tuple(entries),
@@ -306,9 +302,7 @@ def edge_maximal_search(
     )
 
 
-def _search_order(
-    n, k, mode, from_file, planar_map, budget, entries, maximal, stopped_at
-) -> bool:
+def _search_order(n, k, mode, trees, levels, budget, entries, maximal, stopped_at) -> bool:
     """One order, level by level from m = n-1. Returns True when the budget ran out.
 
     Survivors are reported maximal once the next level is tested; a budget
@@ -319,12 +313,13 @@ def _search_order(
     for m in count(n - 1):
         if budget.exhausted():
             return True
-        if mode == "file" or m == n - 1:
-            level = list(connected_graphs(n, m, from_file=from_file))
+        if mode == "file":
+            level = _dedup(levels.get((n, m), ()), canonical_graph6)
+        elif m == n - 1:
+            level = next(t for t in trees if t[0].n == n)
         else:
             level = _grow(level)
-        planar = planar_map(_token_planar, [(g, k) for g in level])
-        survivors = [g for g, ok in zip(level, planar) if ok]
+        survivors = [g for g in level if token_planarity(g, k).planar]
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
         if pending:
             parents = {

@@ -7,6 +7,7 @@ colexicographic order. Ranks are the vertex ids of token graphs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -70,21 +71,21 @@ class SubsetCodec:
         # _comb[c][i] = C(c, i) for 0 <= c <= n, 0 <= i <= k
         self._comb = [[comb(c, i) for i in range(k + 1)] for c in range(n + 1)]
 
-    def masks(self) -> list[int]:
-        """Every k-subset as a bitmask, listed in rank order.
+    def masks(self) -> Iterator[int]:
+        """Yield every k-subset as a bitmask, in rank order.
 
         Increasing integers with k set bits are exactly colex order, so
         Gosper's next-combination step (Knuth, TAOCP 4A, 7.2.1.3) walks the
-        ranks 0, 1, 2, ... with no unranking.
+        ranks 0, 1, 2, ... with no unranking. The walk is lazy: a scan that
+        stops at rank r costs r steps, however large C(n, k) is.
         """
         x = (1 << self.k) - 1
-        out = [x]
+        yield x
         for _ in range(self.size - 1):
             low = x & -x
             y = x + low
             x = ((x ^ y) >> 2) // low | y
-            out.append(x)
-        return out
+            yield x
 
     def rank(self, s) -> int:
         """Colex rank of a KSubset or iterable of members."""

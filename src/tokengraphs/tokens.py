@@ -7,11 +7,11 @@ layout is deterministic and cheap to invert. F_k(g) is connected iff g is
 (Fabila-Monroy et al., Graphs Combin. 28, 2012), so the build does not
 check it again.
 
-The build never unranks. `SubsetCodec.masks` lists the subsets in colex
-order by Gosper's next-combination step, and one dict maps each mask back
-to its rank. The row of a subset A is read off its cut edges: for each
-token on u and each free neighbour w of u, A - u + w is a neighbour. So a
-row costs its degree, not a pass over every edge of g.
+The build never unranks. `SubsetCodec.masks` walks the subsets in colex
+order by Gosper's next-combination step, and one dict, kept in that order,
+maps each mask back to its rank. The row of a subset A is read off its cut
+edges: for each token on u and each free neighbour w of u, A - u + w is a
+neighbour. So a row costs its degree, not a pass over every edge of g.
 
 Rows are bitmask ints of up to V bits, so a build can hold up to about V²/8
 bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The default vertex
@@ -73,11 +73,10 @@ def build_token_graph(
             f"C({n},{k}) = {size} token vertices exceed the budget {vertex_budget}"
             f" (bitmask rows would need up to about {size * size / 8 / 2**20:,.0f} MiB)"
         )
-    masks = codec.masks()
-    rank_of = {mask: r for r, mask in enumerate(masks)}
+    rank_of = {mask: r for r, mask in enumerate(codec.masks())}
     base_adj = g._adj
     adj = []
-    for a in masks:
+    for a in rank_of:
         row = 0
         tokens = a
         while tokens:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tokengraphs.classify
 from tokengraphs import (
     BadK,
     Disconnected,
@@ -11,6 +12,7 @@ from tokengraphs import (
     NotAnEdge,
     NotRegularInput,
     RegularityCase,
+    SubsetCodec,
     build_token_graph,
     classify_planarity,
     classify_regularity,
@@ -153,6 +155,27 @@ def test_substitution_degree_requires_regularity_on_both_sides():
 
 def test_substitution_degree_skips_verification_when_capped():
     assert uniform_substitution_degree(complete_graph(6), 3, verify_limit=1) == 3
+
+
+def test_scan_and_substitution_check_walk_the_masks(monkeypatch):
+    def refuse(self, r):
+        raise AssertionError("both walk SubsetCodec.masks in rank order")
+
+    monkeypatch.setattr(SubsetCodec, "unrank", refuse)
+    monkeypatch.setattr(SubsetCodec, "unrank_mask", refuse)
+    w = classify_regularity(cycle_graph(8), 4).witness
+    assert (w.subset_a, w.subset_b, w.degree_a, w.degree_b, w.branch) == (
+        (0, 1, 2, 3), (0, 1, 2, 4), 2, 4, "scan"
+    )
+    assert uniform_substitution_degree(complete_graph(6), 3) == 3
+    # an expected constant that is off by a third fails at the first pair:
+    # rank 0 and the smallest vertex outside it
+    third = Fraction(1, 3)
+    monkeypatch.setattr(tokengraphs.classify, "Fraction", lambda a, b: Fraction(a, b) + third)
+    got = uniform_substitution_degree(complete_graph(6), 3)
+    assert (got.subset, got.vertex, got.observed, got.expected) == (
+        (0, 1, 2), 3, 3, Fraction(10, 3)
+    )
 
 
 def test_classify_planarity_structural_and_characterization():

@@ -137,6 +137,18 @@ def test_search_prints_report_by_default(capsys):
     assert json.loads(out)["maximal"] == ["EHwg", "EMGg"]
 
 
+def test_search_accepts_and_ignores_jobs(capsys):
+    argv = ("search", "-k", "3", "--n-min", "6", "--n-max", "7")
+    reports = []
+    for extra in ((), ("--jobs", "2")):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        blob = json.loads(out)
+        blob.pop("elapsed_secs")
+        reports.append(blob)
+    assert reports[0] == reports[1]
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "build", "-k", "9", "--graph6", "C~")
     assert code == 2 and "error" in err

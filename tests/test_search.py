@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,35 +267,54 @@ def test_budget_env_var_is_the_fallback(monkeypatch):
     assert not edge_maximal_search(2, range(5, 6)).partial
 
 
-def test_parallel_jobs_match_serial():
-    serial = edge_maximal_search(2, range(5, 8))
-    parallel = edge_maximal_search(2, range(5, 8), jobs=2)
-    js, jp = serial.to_json(), parallel.to_json()
-    js.pop("elapsed_secs"), jp.pop("elapsed_secs")
-    assert js == jp
+def test_importing_the_package_starts_no_process_machinery():
+    code = (
+        "import sys, tokengraphs; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    src = str(Path(tokengraphs.search.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
-def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
-    started = []
+def test_file_mode_reads_its_stream_once(tmp_path, monkeypatch):
+    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6, 7))
+    passes = []
+    decode = tokengraphs.search.iter_graph6
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def counting(text):
+        passes.append(len(text))
+        return decode(text)
 
-        def map(self, fn, items):
-            return map(fn, items)
+    monkeypatch.setattr(tokengraphs.search, "iter_graph6", counting)
+    report = edge_maximal_search(2, range(5, 8), from_file=levels)
+    assert len(passes) == 1
+    assert len(report.entries) > 3  # many levels, one pass
+    verbatim = edge_maximal_search(2, range(5, 8), prune=False)
+    assert report.maximal == verbatim.maximal
 
-        def shutdown(self):
-            pass
 
-    monkeypatch.setattr(tokengraphs.search, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(tokengraphs.search.os, "cpu_count", lambda: 3)
-    report = edge_maximal_search(2, range(5, 6), jobs=64)
-    assert started == [3]
-    assert report.maximal == ("DZ[", "DmW")
-    monkeypatch.setattr(tokengraphs.search.os, "cpu_count", lambda: None)
-    edge_maximal_search(2, range(5, 6), jobs=64)
-    assert started == [3]  # an unknown CPU count means one worker and no pool
+def test_search_grows_the_trees_once(monkeypatch):
+    calls = []
+    key = tokengraphs.search._tree_key
+
+    def counting(t):
+        calls.append(t.n)
+        return key(t)
+
+    monkeypatch.setattr(tokengraphs.search, "_tree_key", counting)
+    _trees(10)
+    alone = len(calls)
+    calls.clear()
+    report = edge_maximal_search(2, range(5, 11))
+    assert len(calls) == alone
+    assert [e.generated for e in report.entries if e.m == e.n - 1] == [
+        TREES[n] for n in range(5, 11)
+    ]
 
 
 def test_search_accepts_a_graph_file(tmp_path):

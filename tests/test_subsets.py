@@ -25,7 +25,7 @@ def test_masks_list_every_subset_in_rank_order():
     for n in range(0, 13):
         for k in range(0, n + 1):
             codec = SubsetCodec(n, k)
-            assert codec.masks() == [codec.unrank_mask(r) for r in range(codec.size)]
+            assert list(codec.masks()) == [codec.unrank_mask(r) for r in range(codec.size)]
 
 
 def test_rank_is_the_inverse_of_unrank():
