@@ -1,39 +1,47 @@
 """Connected-graph enumeration and the edge-maximal planar-token search.
 
-Every level is generated in one way: take all single-edge children of the
-previous level's graphs and keep one graph per canonical form
-(`canonical_graph6`). `graph_classes(n, m)` grows that way from the empty
-graph on n vertices. The search starts from the trees on n vertices, grown
-one leaf at a time from a single vertex and deduplicated by `_tree_key`, a
+Every level is generated in one way: take the single-edge children of the
+previous level's graphs that pass the canonical-deletion test, and keep one
+graph per canonical form (`canonical_graph6`). The test (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998, with the cheap invariant
+pre-test of `geng`) accepts a child H = G + e only if no deletable edge of H
+has a larger invariant (larger end degree, smaller end degree, common
+neighbours) than e; only accepted children are labelled. In
+`graph_classes(n, m)`, which grows from the empty graph on n vertices, every
+edge is deletable. The search starts from the trees on n vertices, grown one
+leaf at a time from a single vertex and deduplicated by `_tree_key`, a
 canonical form for trees that needs no general labelling, and grows every
-later level from the one before. Adding edges keeps a graph connected, and
-every connected graph with a cycle loses a cycle edge to a connected graph,
-so growth from the trees reaches each connected class exactly once per
-(n, m) level.
+later level from the one before; there an edge is deletable iff it is not a
+bridge, so that deleting it leaves a connected graph of the previous level.
+No class is lost: delete from H a deletable edge of maximum invariant; the
+previous level holds the class of the result, and its representative plus
+the image of that edge is a copy of H that passes the test.
 
 The search walks m upward from n-1 per order n, keeps the graphs whose
 k-token graphs are planar (`token_planarity`, which rejects by the token
 graph's edge count before building it), and stops at the first m with no
 survivor. Planarity of token graphs only ever degrades when edges are added
 to the base, so every survivor at level m is a child of a survivor at level
-m - 1, and a survivor is edge-maximal iff no survivor of level m + 1 loses
-an edge to it. The two modes differ only in which level they grow from:
-"pruned" mode (the default) grows from the previous level's survivors,
-"verbatim" mode from the whole previous level, which cross-checks the
-pruning. "file" mode reads each level from a graph6 stream instead of
-growing it; each level there must be complete, as `geng -c` writes it.
-One search grows its trees and decodes its graph6 stream only once.
+m - 1 (its canonical deletion among them), and a survivor is edge-maximal iff
+no survivor of level m + 1 loses an edge to it. The two modes differ only in
+which level they grow from: "pruned" mode (the default) grows from the
+previous level's survivors, "verbatim" mode from the whole previous level,
+which cross-checks the pruning. "file" mode reads each level from a graph6
+stream instead of growing it; each level there must be complete, as
+`geng -c` writes it. One search grows its trees and decodes its graph6
+stream only once.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
 from itertools import count, islice
 
 from .canon import canonical_graph6
-from .errors import BadK, SizeLimitExceeded
+from .errors import BadK, SizeLimitExceeded, TokenGraphError
 from .graph6 import iter_graph6
 from .graphs import Graph, _bits, _mask, empty_graph
 from .planarity import token_planarity
@@ -58,18 +66,62 @@ def _dedup(graphs, key) -> list[Graph]:
     return out
 
 
-def _grow(level) -> list[Graph]:
-    """Every single-edge child of `level`, one per isomorphism class."""
-    return _dedup(
-        (
-            g.with_edge(u, v)
-            for g in level
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        ),
-        canonical_graph6,
-    )
+def _is_canonical_deletion(adj, deg, u: int, v: int, connected: bool) -> bool:
+    """True iff no deletable edge beats the new edge (u, v) on the invariant.
+
+    `adj` and `deg` are the adjacency masks and degrees of the child. The
+    invariant of an edge is (larger end degree, smaller end degree, common
+    neighbours). With `connected`, only edges on a cycle are deletable.
+    """
+    hi, lo = (deg[u], deg[v]) if deg[u] >= deg[v] else (deg[v], deg[u])
+    common = (adj[u] & adj[v]).bit_count()
+    for a, da in enumerate(deg):
+        if da < hi:
+            continue
+        for b in _bits(adj[a]):
+            db = deg[b]
+            if db > da or (da == hi and db < lo):
+                continue  # counted from b's end, or beaten on the degrees
+            if da == hi and db == lo and (adj[a] & adj[b]).bit_count() <= common:
+                continue
+            if not connected or adj[a] & adj[b]:
+                return False
+            cut = list(adj)
+            cut[a] ^= 1 << b
+            cut[b] ^= 1 << a
+            if Graph._from_adj(cut).component_mask(a) >> b & 1:
+                return False  # (a, b) lies on a cycle
+    return True
+
+
+def _accepted_children(level, connected: bool):
+    """The children of `level` that pass the test, by parent and then new edge (u, v)."""
+    for g in level:
+        deg = g.degrees()
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if g._adj[u] >> v & 1:
+                    continue
+                adj = list(g._adj)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                deg[u] += 1
+                deg[v] += 1
+                if _is_canonical_deletion(adj, deg, u, v, connected):
+                    yield Graph._from_adj(adj)
+                deg[u] -= 1
+                deg[v] -= 1
+
+
+def _grow(level, connected: bool) -> list[Graph]:
+    """The single-edge children of `level` that pass the canonical-deletion test, one per class.
+
+    A child G + e is accepted iff no deletable edge has a larger invariant
+    than e; with `connected`, bridges are not deletable. Every class of the
+    next level still appears: a deletable edge of maximum invariant is the
+    new edge of a child of the representative of its deletion's class.
+    """
+    return _dedup(_accepted_children(level, connected), canonical_graph6)
 
 
 def _tree_key(t: Graph) -> str:
@@ -142,7 +194,7 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     if m == 0:
         level: tuple[Graph, ...] = (empty_graph(n),)
     else:
-        level = tuple(_grow(graph_classes(n, m - 1)))
+        level = tuple(_grow(graph_classes(n, m - 1), connected=False))
     _LEVELS[key] = level
     return level
 
@@ -240,6 +292,12 @@ class _Budget:
                 budget_secs = float(env) if env else None
             except ValueError:
                 budget_secs = None  # an unreadable env budget means no budget
+            if budget_secs is not None and not math.isfinite(budget_secs):
+                budget_secs = None  # so is a NaN or infinite one
+        elif not math.isfinite(budget_secs):
+            raise TokenGraphError(
+                f"the search budget must be a finite number of seconds, got {budget_secs}"
+            )
         self.start = time.monotonic()
         self.deadline = None if budget_secs is None else self.start + budget_secs
 
@@ -263,11 +321,15 @@ def edge_maximal_search(
     Follows the ascending (n, m) protocol; see the module docstring for the
     pruned/verbatim distinction. The search runs in the calling process. A
     wall-clock budget (argument or the TOKENS_BUDGET_SECS environment
-    variable) turns the report partial rather than raising.
+    variable) turns the report partial rather than raising; a NaN or
+    infinite budget argument raises `TokenGraphError`, and an empty
+    `n_range` raises `BadK`.
     """
     if k < 2:
         raise BadK(f"the search is defined for k >= 2, got k={k}")
     ns = sorted(set(int(n) for n in n_range))
+    if not ns:
+        raise BadK("the order range is empty; there is no order to search")
     for n in ns:
         if n < 2 * k:
             raise BadK(
@@ -318,7 +380,7 @@ def _search_order(n, k, mode, trees, levels, budget, entries, maximal, stopped_a
         elif m == n - 1:
             level = next(t for t in trees if t[0].n == n)
         else:
-            level = _grow(level)
+            level = _grow(level, connected=True)
         survivors = [g for g in level if token_planarity(g, k).planar]
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
         if pending:

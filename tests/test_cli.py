@@ -204,6 +204,19 @@ def test_search_n_min_zero_is_not_ignored(capsys):
     assert err.startswith("error: n=0 is below 2k=4")
 
 
+def test_search_rejects_a_non_finite_budget(capsys):
+    for budget in ("nan", "inf"):
+        code, out, err = run(capsys, "search", "-k", "2", "--n-max", "5", "--budget-secs", budget)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
+
+def test_search_rejects_an_empty_order_range(capsys):
+    code, out, err = run(capsys, "search", "-k", "2", "--n-max", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no order to search" in err
+
+
 def test_canon_too_deep_for_the_search_is_an_input_error(tmp_path, capsys):
     """The labeller recurses once per individualised vertex: 999 here."""
     edgeless = tmp_path / "edgeless.g6"

@@ -14,6 +14,7 @@ from tokengraphs import (
     Graph,
     SearchReport,
     SizeLimitExceeded,
+    TokenGraphError,
     canonical_graph6,
     complete_graph,
     connected_graphs,
@@ -25,13 +26,13 @@ from tokengraphs import (
     path_graph,
     verify_maximality,
 )
-from tokengraphs.search import _tree_key, _trees
+from tokengraphs.search import _grow, _tree_key, _trees
 
 from util import random_tree, shuffled
 
-# published counts of isomorphism classes of simple graphs
-TOTAL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# published counts of isomorphism classes of simple graphs (OEIS A000088, A001349)
+TOTAL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 # OEIS A000055: unlabelled trees on n vertices
 TREES = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551
@@ -52,7 +53,7 @@ def write_complete_levels(path, orders):
 
 
 def test_generator_counts_match_published_values():
-    for n in range(1, 8):
+    for n in sorted(TOTAL_CLASSES):
         total = sum(
             len(graph_classes(n, m)) for m in range(n * (n - 1) // 2 + 1)
         )
@@ -100,6 +101,59 @@ def test_trees_agree_with_canonical_form_growth():
                     children.setdefault(canonical_graph6(child), child)
             level = children
         assert {canonical_graph6(t) for t in _trees(n)} == set(level)
+
+
+def canonical_growth(level):
+    """Every single-edge child of `level`, one per canonical_graph6, with no filter."""
+    children = {}
+    for g in level:
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.has_edge(u, v):
+                    child = g.with_edge(u, v)
+                    children.setdefault(canonical_graph6(child), child)
+    return children
+
+
+def test_graph_classes_agree_with_unfiltered_growth():
+    """The canonical-deletion filter loses no class of any (n, m) level."""
+    for n in range(1, 8):
+        level = {canonical_graph6(Graph(n)): Graph(n)}
+        for m in range(n * (n - 1) // 2 + 1):
+            assert {canonical_graph6(g) for g in graph_classes(n, m)} == set(level), (n, m)
+            level = canonical_growth(level.values())
+        assert level == {}
+
+
+def test_connected_levels_agree_with_unfiltered_growth():
+    """Growth from the trees with bridges kept keeps every connected class."""
+    for n in range(2, 8):
+        grown = _trees(n)
+        level = {canonical_graph6(t): t for t in grown}
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            assert len(grown) == len(level)
+            assert {canonical_graph6(g) for g in grown} == set(level), (n, m)
+            assert set(level) == {canonical_graph6(g) for g in connected_graphs(n, m)}
+            grown = _grow(grown, connected=True)
+            level = canonical_growth(level.values())
+        assert grown == [] and level == {}
+
+
+def test_growth_labels_only_accepted_children(monkeypatch):
+    calls = []
+    label = tokengraphs.search.canonical_graph6
+
+    def counting(g):
+        calls.append(g.n)
+        return label(g)
+
+    monkeypatch.setattr(tokengraphs.search, "canonical_graph6", counting)
+    report = edge_maximal_search(2, range(5, 10), prune=False)
+    labelled = len(calls)
+    monkeypatch.undo()
+    assert labelled < 3000  # every child of every parent would be 11,236
+    for e in report.entries:
+        assert e.generated == sum(1 for _ in connected_graphs(e.n, e.m))
 
 
 def test_tree_key_is_a_relabelling_invariant():
@@ -170,6 +224,8 @@ def test_search_rejects_bad_ranges():
         edge_maximal_search(3, range(5, 6))  # n < 2k has no 2 <= k <= n-2 story
     with pytest.raises(SizeLimitExceeded):
         edge_maximal_search(2, range(10, 12))
+    with pytest.raises(BadK):
+        edge_maximal_search(2, range(4, 4))  # no order to search
 
 
 def test_search_report_round_trips_as_json():
@@ -265,6 +321,15 @@ def test_budget_env_var_is_the_fallback(monkeypatch):
     assert edge_maximal_search(2, range(5, 11)).partial
     monkeypatch.setenv("TOKENS_BUDGET_SECS", "not-a-number")
     assert not edge_maximal_search(2, range(5, 6)).partial
+    for unreadable in ("nan", "inf", "-inf"):
+        monkeypatch.setenv("TOKENS_BUDGET_SECS", unreadable)
+        assert not edge_maximal_search(2, range(5, 6)).partial
+
+
+def test_non_finite_budget_is_rejected():
+    for budget in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(TokenGraphError):
+            edge_maximal_search(2, range(5, 6), budget_secs=budget)
 
 
 def test_importing_the_package_starts_no_process_machinery():
