@@ -11,6 +11,11 @@ automorphism discovery) and the best leaf so far. Subtrees comparing worse
 than the best and diverging from the first path are cut. Leaves matching a
 reference certificate yield automorphisms, which prune sibling branches whose
 individualized vertices are equivalent under generators fixing the path.
+
+The search also fixes |Aut| (McKay 1981; McKay & Piperno 2014): by
+orbit-stabiliser along the first path, it is the product over the path's
+individualized vertices of each one's orbit under the generators fixing the
+vertices before it, and those orbits are the ones pruning already uses.
 """
 
 from __future__ import annotations
@@ -114,9 +119,10 @@ class _Search:
         self.first_invs: list | None = None
         self.first_cert: int | None = None
         self.first_vert: list[int] | None = None  # label -> vertex
+        self.first_path: tuple[int, ...] = ()  # individualized vertices, in order
         self.best_invs: list | None = None
         self.best_cert: int | None = None
-        self.best_labels: list[int] | None = None
+        self.best_labels: tuple[int, ...] | None = None
         self.best_vert: list[int] | None = None
         self.gens: list[tuple[int, ...]] = []
         self._gen_keys: set = set()
@@ -129,7 +135,6 @@ class _Search:
         colors = [0] * n
         _refine(self.adj, cells, colors, deque([0]))
         self._node(cells, colors, (), True)
-        return self.best_cert, tuple(self.best_labels), self.gens
 
     def _add_automorphism(self, labels, ref_vert):
         perm = tuple(ref_vert[labels[v]] for v in range(self.n))
@@ -171,7 +176,7 @@ class _Search:
         try:
             target = _target_cell(cells)
             if target < 0:
-                self._leaf(colors, first_eq, best_state)
+                self._leaf(colors, prefix, first_eq, best_state)
                 return
             done: list[int] = []
             finder = None
@@ -221,44 +226,57 @@ class _Search:
                     parent[rb] = ra
         return [find(x) for x in range(self.n)]
 
-    def _leaf(self, colors, first_eq, best_state):
+    def automorphism_order(self) -> int:
+        """|Aut| by orbit-stabiliser along the first path.
+
+        Each vertex in the true orbit of the path's (d+1)-th vertex under the
+        stabiliser of the first d heads a subtree with a leaf equivalent to
+        the first leaf: the search reaches it, finding a generator, or prunes
+        the vertex as equivalent to one it searched. Only the identity fixes
+        the whole path.
+        """
+        path = self.first_path
+        order = 1
+        for d, v in enumerate(path):
+            orbits = self._prefix_orbits(path[:d])
+            if orbits is not None:
+                order *= orbits.count(orbits[v])
+        return order
+
+    def _leaf(self, colors, prefix, first_eq, best_state):
         labels = colors  # all cells singleton: color ids are 0..n-1
         cert = _leaf_cert(self.adj, self.n, labels)
         if self.first_cert is None:
-            vert = [0] * self.n
-            for v in range(self.n):
-                vert[labels[v]] = v
             self.first_invs = list(self._invs)
             self.first_cert = cert
-            self.first_vert = vert
-            self.best_invs = list(self._invs)
-            self.best_cert = cert
-            self.best_labels = labels.copy()
-            self.best_vert = vert
-            return
-        if first_eq and cert == self.first_cert:
+            self.first_path = prefix
+        elif first_eq and cert == self.first_cert:
             self._add_automorphism(labels, self.first_vert)
+        # the first leaf always compares better: there is no best leaf yet
         if best_state == _BETTER or (best_state == _EQ and cert < self.best_cert):
             vert = [0] * self.n
             for v in range(self.n):
                 vert[labels[v]] = v
+            if self.first_vert is None:
+                self.first_vert = vert
             self.best_invs = list(self._invs)
             self.best_cert = cert
-            self.best_labels = labels.copy()
+            self.best_labels = tuple(labels)
             self.best_vert = vert
         elif best_state == _EQ and cert == self.best_cert:
             self._add_automorphism(labels, self.best_vert)
 
 
-def _search(g: Graph):
+def _search(g: Graph) -> _Search:
+    """The finished search tree of `g`."""
     if g.n > CANON_MAX_N:
         raise SizeLimitExceeded(f"canonical labeling capped at n <= {CANON_MAX_N}")
-    if g.n == 0:
-        return 0, (), []
+    search = _Search(g)
     try:
-        return _Search(g).run()
+        search.run()
     except RecursionError:  # the search recurses once per individualised vertex
         raise SizeLimitExceeded(f"canonical labeling recursed too deep at n={g.n}") from None
+    return search
 
 
 def _relabeled(g: Graph, perm) -> Graph:
@@ -272,32 +290,34 @@ def _relabeled(g: Graph, perm) -> Graph:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form with the achieving permutation and |Aut| (informational)."""
-    _, labels, gens = _search(g)
-    canon = _relabeled(g, labels) if g.n else g
+    """Canonical form with the achieving permutation and |Aut| (informational).
+
+    |Aut| is the product of orbit sizes along the search's first path, under
+    the automorphisms the search found (see `_Search.automorphism_order`).
+    """
+    search = _search(g)
+    labels = search.best_labels
     return CanonicalForm(
-        graph6=encode_graph6(canon),
+        graph6=encode_graph6(_relabeled(g, labels)),
         permutation=labels,
-        automorphism_order=_group_order(gens, g.n),
+        automorphism_order=search.automorphism_order(),
     )
 
 
 def canonical_graph6(g: Graph) -> str:
-    """Canonical graph6 string only (skips the group-order computation)."""
-    _, labels, _ = _search(g)
-    return encode_graph6(_relabeled(g, labels) if g.n else g)
+    """Canonical graph6 string only (computes no orbits)."""
+    return encode_graph6(_relabeled(g, _search(g).best_labels))
 
 
 def canonical_data(g: Graph):
     """(canonical graph6, permutation, automorphism generators) in one search."""
-    _, labels, gens = _search(g)
-    return encode_graph6(_relabeled(g, labels) if g.n else g), labels, gens
+    search = _search(g)
+    return encode_graph6(_relabeled(g, search.best_labels)), search.best_labels, search.gens
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled graph itself."""
-    _, labels, _ = _search(g)
-    return _relabeled(g, labels) if g.n else g
+    return _relabeled(g, _search(g).best_labels)
 
 
 def _triangle_profile(g: Graph) -> tuple[int, ...]:
@@ -319,84 +339,3 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     if _triangle_profile(g1) != _triangle_profile(g2):
         return False
     return canonical_graph6(g1) == canonical_graph6(g2)
-
-
-# ---------------------------------------------------------------------------
-# permutation group order (Schreier-Sims)
-
-
-def _perm_mul(a, b):
-    # (a * b)(x) = a[b[x]]
-    return tuple(a[x] for x in b)
-
-
-def _perm_inv(a):
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
-def _group_order(gens, n: int) -> int:
-    """Order of the permutation group generated by `gens` on n points.
-
-    Incremental Schreier-Sims. Level i of the chain keeps every known
-    strong generator that fixes the first i base points (a generator that
-    sticks at level d therefore joins all levels 0..d) plus the orbit
-    transversal of its own base point; the order is the product of the
-    orbit sizes once sifting all Schreier generators adds nothing new.
-    """
-    identity = tuple(range(n))
-    todo = sorted({tuple(g) for g in gens} - {identity}, reverse=True)
-    if not todo:
-        return 1
-    base: list[int] = []
-    lv_gens: list[set] = []
-    lv_trans: list[dict] = []
-
-    def rebuild(e: int) -> None:
-        pt = base[e]
-        trans = {pt: identity}
-        frontier = [pt]
-        while frontier:
-            x = frontier.pop()
-            tx = trans[x]
-            for gp in lv_gens[e]:
-                y = gp[x]
-                if y not in trans:
-                    trans[y] = _perm_mul(gp, tx)
-                    frontier.append(y)
-        lv_trans[e] = trans
-
-    while todo:
-        h = todo.pop()
-        d = 0
-        while h != identity:
-            if d == len(base):
-                base.append(min(x for x in range(n) if h[x] != x))
-                lv_gens.append(set())
-                lv_trans.append({base[d]: identity})
-            x = h[base[d]]
-            if x in lv_trans[d]:
-                # divide out the transversal element taking base[d] to x;
-                # the residue fixes base[d] and sifts one level deeper
-                h = _perm_mul(_perm_inv(lv_trans[d][x]), h)
-                d += 1
-                continue
-            # new strong generator: it fixes base[:d], so every level up
-            # to d must see it when computing orbits
-            for e in range(d + 1):
-                lv_gens[e].add(h)
-                rebuild(e)
-            for e in range(d + 1):
-                for y, ty in lv_trans[e].items():
-                    for gp in lv_gens[e]:
-                        rep = lv_trans[e][gp[y]]
-                        sg = _perm_mul(_perm_inv(rep), _perm_mul(gp, ty))
-                        if sg != identity:
-                            todo.append(sg)
-            break
-    order = 1
-    for trans in lv_trans:
-        order *= len(trans)
-    return order

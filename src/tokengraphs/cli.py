@@ -14,7 +14,7 @@ import sys
 from .canon import canonical_form, canonical_graph6
 from .classify import classify_planarity, classify_regularity
 from .errors import TokenGraphError
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6, iter_graph6
 from .graphs import Graph
 from .minors import apply_and_verify, format_script, lift_script, parse_script
 from .planarity import is_planar
@@ -30,11 +30,7 @@ def _read_graphs(args) -> list[Graph]:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    graphs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            graphs.append(decode_graph6(line))
+    graphs = list(iter_graph6(text))
     if not graphs:
         raise TokenGraphError("no input graphs (use --graph6, --file, or stdin)")
     return graphs

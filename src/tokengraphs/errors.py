@@ -18,7 +18,7 @@ class SizeLimitExceeded(TokenGraphError, ValueError):
 
 
 class UnsupportedPattern(TokenGraphError, ValueError):
-    """Pattern containment is only implemented for a fixed pattern set."""
+    """Pattern containment needs a non-empty connected pattern."""
 
 
 class MalformedGraph6(TokenGraphError, ValueError):

@@ -410,23 +410,13 @@ def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fixed-pattern subgraph containment
-
-_PATTERN_NAMES = ("P3", "K13", "P7")
+# connected-pattern subgraph containment
 
 
-def _pattern_kind(pattern: Graph) -> str:
-    """Identify the pattern up to isomorphism, or reject it."""
-    degs = pattern.degree_multiset()
-    if pattern.n == 3 and degs == (1, 1, 2):
-        return "P3"
-    if pattern.n == 4 and degs == (1, 1, 1, 3):
-        return "K13"
-    if pattern.n == 7 and degs == (1, 1, 2, 2, 2, 2, 2) and pattern.is_connected():
-        return "P7"
-    raise UnsupportedPattern(
-        f"pattern containment is only supported for {_PATTERN_NAMES}"
-    )
+def _check_pattern(pattern: Graph) -> None:
+    """Reject a pattern that `_iter_embeddings` cannot place: empty or disconnected."""
+    if pattern.n == 0 or not pattern.is_connected():
+        raise UnsupportedPattern("pattern containment needs a non-empty connected pattern")
 
 
 def _pattern_order(pattern: Graph) -> tuple[list[int], list[list[int]]]:
@@ -485,14 +475,14 @@ def _iter_embeddings(g: Graph, pattern: Graph, banned: int = 0):
 
 def has_subgraph(g: Graph, pattern: Graph, banned: int = 0) -> bool:
     """True iff `g` contains `pattern` as a (not necessarily induced) subgraph."""
-    _pattern_kind(pattern)
+    _check_pattern(pattern)
     return next(_iter_embeddings(g, pattern, banned), None) is not None
 
 
 def contains_disjoint(g: Graph, pattern_a: Graph, pattern_b: Graph) -> bool:
     """True iff `g` holds vertex-disjoint copies of both patterns."""
-    _pattern_kind(pattern_a)
-    _pattern_kind(pattern_b)
+    _check_pattern(pattern_a)
+    _check_pattern(pattern_b)
     # Place the larger pattern first: fewer embeddings to sweep.
     if pattern_a.n < pattern_b.n:
         pattern_a, pattern_b = pattern_b, pattern_a

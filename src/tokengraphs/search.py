@@ -384,9 +384,9 @@ def _search_order(n, k, mode, trees, levels, budget, entries, maximal, stopped_a
         survivors = [g for g in level if token_planarity(g, k).planar]
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
         if pending:
-            parents = {
-                canonical_graph6(t.delete_edge(u, v)) for t in survivors for u, v in t.edges()
-            }
+            # a pending survivor is connected, so only connected deletions can equal one
+            deletions = (t.delete_edge(u, v) for t in survivors for u, v in t.edges())
+            parents = {canonical_graph6(h) for h in deletions if h.is_connected()}
             maximal.extend(s for s in map(canonical_graph6, pending) if s not in parents)
         if not survivors:
             stopped_at[n] = m

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, permutations
 
@@ -17,6 +18,7 @@ from tokengraphs import (
     empty_graph,
     encode_graph6,
     graph_classes,
+    johnson,
     octahedron_graph,
     path_graph,
     petersen_graph,
@@ -111,6 +113,13 @@ def test_all_five_vertex_classes_have_distinct_canonical_forms():
         (octahedron_graph(), 48),
         (petersen_graph(), 120),
         (complete_graph(4).delete_edge(0, 1), 4),
+        (johnson(7, 3).graph, math.factorial(7)),
+        (johnson(8, 4).graph, 2 * math.factorial(8)),  # with complementation
+        (complete_bipartite_graph(4, 5), 2880),
+        (empty_graph(9), math.factorial(9)),
+        (star_graph(9), math.factorial(8)),
+        (cycle_graph(12), 24),
+        (empty_graph(20), math.factorial(20)),
     ],
 )
 def test_automorphism_group_orders(g, order):
@@ -118,20 +127,35 @@ def test_automorphism_group_orders(g, order):
 
 
 def test_automorphism_order_against_permutation_count():
-    """|Aut(g)| equals the number of edge-preserving permutations."""
-    from itertools import permutations
+    """|Aut(g)| equals the number of edge-preserving permutations.
 
+    Random graphs, then every class with n <= 6 under one random relabelling.
+    """
     rng = random.Random(40006)
-    for _ in range(120):
-        n = rng.randint(1, 6)
-        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+    graphs = [random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.8)) for _ in range(120)]
+    graphs += [
+        shuffled(rng, g)
+        for n in range(1, 7)
+        for m in range(n * (n - 1) // 2 + 1)
+        for g in graph_classes(n, m)
+    ]
+    for g in graphs:
         edge_set = {tuple(sorted(e)) for e in g.edges()}
         brute = sum(
             1
-            for p in permutations(range(n))
+            for p in permutations(range(g.n))
             if edge_set == {tuple(sorted((p[u], p[v]))) for u, v in g.edges()}
         )
         assert canonical_form(g).automorphism_order == brute
+
+
+def test_automorphism_order_is_a_relabelling_invariant():
+    rng = random.Random(40008)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+        want = canonical_form(g).automorphism_order
+        for _ in range(3):
+            assert canonical_form(shuffled(rng, g)).automorphism_order == want
 
 
 def test_generators_are_automorphisms():

@@ -22,7 +22,7 @@ from tokengraphs import (
 )
 from tokengraphs.graphs import circumference, normalize_edge
 
-from util import random_graph, random_tree
+from util import random_connected_graph, random_graph, random_tree
 
 
 def test_basic_accessors():
@@ -186,8 +186,48 @@ def test_subgraph_patterns():
     assert has_subgraph(path_graph(7), p7)
     assert has_subgraph(cycle_graph(7), p7)
     assert not has_subgraph(path_graph(6), p7)
-    with pytest.raises(UnsupportedPattern):
-        has_subgraph(complete_graph(5), cycle_graph(3))
+    assert has_subgraph(complete_graph(5), cycle_graph(3))
+
+
+def test_empty_or_disconnected_patterns_are_rejected():
+    for pattern in (empty_graph(0), empty_graph(2), Graph(4, [(0, 1), (2, 3)])):
+        with pytest.raises(UnsupportedPattern):
+            has_subgraph(complete_graph(6), pattern)
+        with pytest.raises(UnsupportedPattern):
+            contains_disjoint(complete_graph(6), path_graph(3), pattern)
+
+
+def test_containment_against_networkx_monomorphism():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g, keep):
+        h = nx.Graph()
+        h.add_nodes_from(v for v in range(g.n) if keep >> v & 1)
+        h.add_edges_from((u, v) for u, v in g.edges() if keep >> u & keep >> v & 1)
+        return h
+
+    def monomorphic(g, pattern, banned=0):
+        host = to_nx(g, ((1 << g.n) - 1) & ~banned)
+        return GraphMatcher(host, to_nx(pattern, (1 << pattern.n) - 1)).subgraph_is_monomorphic()
+
+    rng = random.Random(7)
+    contained = 0
+    for trial in range(3000):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+        pattern = random_connected_graph(rng, rng.randint(1, 5), rng.uniform(0.0, 0.6))
+        banned = rng.getrandbits(g.n) if rng.random() < 0.5 else 0
+        want = monomorphic(g, pattern, banned)
+        assert has_subgraph(g, pattern, banned) == want, trial
+        contained += want
+        if trial % 6 == 0:
+            other = random_connected_graph(rng, rng.randint(1, 4), 0.3)
+            union = Graph(
+                pattern.n + other.n,
+                pattern.edges() + [(u + pattern.n, v + pattern.n) for u, v in other.edges()],
+            )
+            assert contains_disjoint(g, pattern, other) == monomorphic(g, union), trial
+    assert 0 < contained < 3000
 
 
 def test_has_subgraph_respects_banned_mask():

@@ -156,6 +156,22 @@ def test_growth_labels_only_accepted_children(monkeypatch):
         assert e.generated == sum(1 for _ in connected_graphs(e.n, e.m))
 
 
+def test_search_labels_only_connected_graphs(monkeypatch, tmp_path):
+    """Growth, file levels and maximality never label a disconnected graph."""
+    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6))
+    label = tokengraphs.search.canonical_graph6
+
+    def connected_only(g):
+        assert g.is_connected(), encode_graph6(g)
+        return label(g)
+
+    monkeypatch.setattr(tokengraphs.search, "canonical_graph6", connected_only)
+    for k, lo, hi in ((2, 5, 10), (3, 6, 8), (4, 8, 10)):
+        edge_maximal_search(k, range(lo, hi + 1))
+    edge_maximal_search(2, range(5, 9), prune=False)
+    edge_maximal_search(2, range(5, 7), from_file=levels)
+
+
 def test_tree_key_is_a_relabelling_invariant():
     rng = random.Random(5)
     for _ in range(200):
