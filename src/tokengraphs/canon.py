@@ -41,7 +41,7 @@ class CanonicalForm:
     automorphism_order: int
 
 
-def _refine(adj, cells: list[int], colors: list[int], queue: deque) -> None:
+def _refine(adj, cells: list[int], queue: deque) -> None:
     """Split cells by neighbour counts toward queued splitter cells, in place.
 
     New cells keep creation order as their id; every fragment is re-queued,
@@ -69,11 +69,8 @@ def _refine(adj, cells: list[int], colors: list[int], queue: deque) -> None:
             cells[c] = buckets[counts[0]]
             queue.append(c)
             for cnt in counts[1:]:
-                nid = len(cells)
+                queue.append(len(cells))
                 cells.append(buckets[cnt])
-                for v in _bits(buckets[cnt]):
-                    colors[v] = nid
-                queue.append(nid)
 
 
 def _target_cell(cells: list[int]) -> int:
@@ -132,9 +129,8 @@ class _Search:
     def run(self):
         n = self.n
         cells = [(1 << n) - 1]
-        colors = [0] * n
-        _refine(self.adj, cells, colors, deque([0]))
-        self._node(cells, colors, (), True)
+        _refine(self.adj, cells, deque([0]))
+        self._node(cells, (), True)
 
     def _add_automorphism(self, labels, ref_vert):
         perm = tuple(ref_vert[labels[v]] for v in range(self.n))
@@ -160,7 +156,7 @@ class _Search:
             return _EQ
         return _BETTER if path < ref else _WORSE
 
-    def _node(self, cells, colors, prefix, first_eq):
+    def _node(self, cells, prefix, first_eq):
         inv = tuple(mask.bit_count() for mask in cells)
         depth = len(self._invs)
         if self.first_invs is not None:
@@ -176,7 +172,7 @@ class _Search:
         try:
             target = _target_cell(cells)
             if target < 0:
-                self._leaf(colors, prefix, first_eq, best_state)
+                self._leaf(cells, prefix, first_eq, best_state)
                 return
             done: list[int] = []
             finder = None
@@ -193,16 +189,11 @@ class _Search:
                             continue
                 done.append(v)
                 child_cells = cells.copy()
-                child_colors = colors.copy()
                 # individualize v: it keeps the parent cell id, the rest is new
-                rest = child_cells[target] ^ (1 << v)
                 child_cells[target] = 1 << v
-                nid = len(child_cells)
-                child_cells.append(rest)
-                for w in _bits(rest):
-                    child_colors[w] = nid
-                _refine(self.adj, child_cells, child_colors, deque([target, nid]))
-                self._node(child_cells, child_colors, prefix + (v,), first_eq)
+                child_cells.append(cells[target] ^ (1 << v))
+                _refine(self.adj, child_cells, deque([target, len(cells)]))
+                self._node(child_cells, prefix + (v,), first_eq)
         finally:
             self._invs.pop()
 
@@ -243,8 +234,12 @@ class _Search:
                 order *= orbits.count(orbits[v])
         return order
 
-    def _leaf(self, colors, prefix, first_eq, best_state):
-        labels = colors  # all cells singleton: color ids are 0..n-1
+    def _leaf(self, cells, prefix, first_eq, best_state):
+        # every cell is a singleton whose id is its vertex's label (n = 0 has one empty cell)
+        vert = [mask.bit_length() - 1 for mask in cells[: self.n]]  # label -> vertex
+        labels = [0] * self.n
+        for label, v in enumerate(vert):
+            labels[v] = label
         cert = _leaf_cert(self.adj, self.n, labels)
         if self.first_cert is None:
             self.first_invs = list(self._invs)
@@ -254,9 +249,6 @@ class _Search:
             self._add_automorphism(labels, self.first_vert)
         # the first leaf always compares better: there is no best leaf yet
         if best_state == _BETTER or (best_state == _EQ and cert < self.best_cert):
-            vert = [0] * self.n
-            for v in range(self.n):
-                vert[labels[v]] = v
             if self.first_vert is None:
                 self.first_vert = vert
             self.best_invs = list(self._invs)

@@ -6,10 +6,10 @@ the star and its complement produce regular token graphs. Everything else is
 irregular, and the verdict carries a concrete witness pair of token vertices
 with different degrees.
 
-`classify_planarity` decides planarity of F_k(g) for connected g: structural
-certificates first, the path characterization for n > 10, and at small
-orders, where no characterization exists, `token_planarity`: the token
-graph's edge-count bound, then a build and test.
+`classify_planarity` decides planarity of F_k(g) for connected g: the path
+characterization for n > 10, and at small orders, where no characterization
+exists, `token_planarity`, the search's own path: the token graph's
+edge-count bound, then the paper's lemmas, then a build and test.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     TokenGraphError,
 )
 from .graphs import Graph, _bits, _iter_embeddings, path_graph
-from .minors import nonplanarity_by_minor
 from .planarity import token_planarity
 from .subsets import SubsetCodec
 from .tokens import build_token_graph, token_degree
@@ -220,11 +219,10 @@ def uniform_substitution_degree(
 class TokenPlanarity:
     """Planarity verdict for F_k(g) plus how it was obtained.
 
-    method is "structural" (a certificate in g forced non-planarity),
-    "characterization" (the large-order path criterion), or "computed"
-    (`token_planarity`; reason carries its stage: "token-edge-bound" when
-    the closed-form edge count rejected F_k(g) unbuilt, else the stage of
-    `is_planar` on the built token graph).
+    method is "characterization" (the large-order path criterion),
+    "structural" (g alone decided it, unbuilt: reason is "token-edge-bound"
+    or the name of one of the paper's lemmas), or "computed" (the LR test
+    on the built token graph: reason "left-right").
     """
 
     planar: bool
@@ -233,14 +231,16 @@ class TokenPlanarity:
 
 
 def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
+    """Planarity of F_k(g) for connected g and 2 <= k <= n-2.
+
+    For n > 10, F_k(g) is planar iff g is a path and k is 2 or n-2; below
+    that, the verdict is `token_planarity`'s, with its stage as reason.
+    """
     n = g.n
     if not 2 <= k <= n - 2:
         raise BadK(f"planarity classification needs 2 <= k <= n-2, got k={k}, n={n}")
     if not g.is_connected():
         raise Disconnected("planarity classification is defined for connected graphs")
-    reason = nonplanarity_by_minor(g, k)
-    if reason is not None:
-        return TokenPlanarity(False, "structural", reason)
     if n > 10:
         if g.is_path_graph() and k in (2, n - 2):
             return TokenPlanarity(True, "characterization", "path-outer-k")
@@ -250,7 +250,8 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
             "not-a-path" if not g.is_path_graph() else "inner-k",
         )
     verdict = token_planarity(g, k)
-    return TokenPlanarity(verdict.planar, "computed", verdict.method)
+    method = "computed" if verdict.method == "left-right" else "structural"
+    return TokenPlanarity(verdict.planar, method, verdict.method)
 
 
 def residual_degree_obstruction(g: Graph, k: int) -> bool:

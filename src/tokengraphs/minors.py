@@ -11,10 +11,9 @@ which would have no counterpart afterwards. `apply_and_verify` checks the
 round trip: lifting then applying lands on a graph isomorphic to the token
 graph of the edited base.
 
-`nonplanarity_by_minor` collects the structural certificates that force a
-non-planar token graph without building it (a vertex of degree five, a long
-cycle, a path plus a disjoint claw, a long path when k is interior, or a
-large branched tree).
+`nonplanarity_by_minor` collects the paper's lemmas that force a non-planar
+token graph without building it (a vertex of degree five, a long cycle, a
+path plus a disjoint claw, or a long path when k is interior).
 """
 
 from __future__ import annotations
@@ -247,7 +246,7 @@ def apply_and_verify(g: Graph, k: int, ops) -> bool:
 
 
 def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
-    """Name a structural reason the token graph must be non-planar, if any.
+    """Name a lemma of the paper that forces F_k(g) to be non-planar, if any.
 
     Every certificate is sound for 2 <= k <= n-2: it pins a small subgraph
     whose token graph is non-planar and survives as a subgraph of the whole
@@ -265,6 +264,4 @@ def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
         return "disjoint-p3-k13"
     if 3 <= k <= n - 3 and has_subgraph(g, path_graph(7)):
         return "p7-inner-k"
-    if n > 10 and g.is_tree() and not g.is_path_graph():
-        return "non-path-tree"
     return None

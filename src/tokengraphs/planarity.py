@@ -5,9 +5,9 @@ the 3n - 6 edge bound, otherwise run the left-right test (Brandes) on the
 whole graph, which walks one DFS tree per component. Both DFS passes are
 iterative because token graphs routinely reach several hundred vertices.
 
-`token_planarity` is the one path from "is F_k(g) planar?" to a verdict: it
-rejects by the token graph's edge count, known in closed form, before it
-builds anything, and otherwise builds F_k(g) and runs `is_planar`.
+`token_planarity` is the one path from "is F_k(g) planar?" to a verdict: the
+token graph's closed-form edge count, then the paper's lemmas
+(`nonplanarity_by_minor`), and only then a build of F_k(g) and `is_planar`.
 
 `planarity_oracle` is a deliberately independent cross-check for small graphs:
 planarity is decided by exhaustively searching for a K5 or K3,3 minor through
@@ -25,6 +25,7 @@ from math import comb
 from .canon import canonical_graph6
 from .errors import SizeLimitExceeded
 from .graphs import Graph, _bits, _mask
+from .minors import nonplanarity_by_minor
 from .tokens import _check_k, build_token_graph
 
 ORACLE_MAX_N = 10
@@ -36,8 +37,8 @@ class PlanarityVerdict:
 
     method is "euler-bound" when the edge count alone rejected the graph
     (m > 3n - 6, connected or not) and "left-right" when the LR test decided
-    it. `token_planarity` adds "token-edge-bound": F_k(g) was rejected by its
-    closed-form edge count without being built.
+    it. `token_planarity` adds the stages that reject F_k(g) unbuilt:
+    "token-edge-bound" (its closed-form edge count) and a lemma's name.
     """
 
     planar: bool
@@ -280,14 +281,15 @@ def is_planar(g: Graph) -> PlanarityVerdict:
 
 
 def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
-    """Planarity of F_k(g), rejected by its edge count before any build.
+    """Planarity of F_k(g): edge bound, then the paper's lemmas, then a build.
 
     F_k(g) has V = C(n, k) vertices and E = m * C(n-2, k-1) edges (each edge
     of g moves a token while k - 1 others sit on the remaining n - 2
     vertices). A planar graph with V >= 3 has E <= 3V - 6, and a bipartite
     one E <= 2V - 4. F_k(g) is bipartite when g is: a move changes the
     number of tokens on one side of g by exactly one. Past either bound the
-    verdict is "token-edge-bound"; otherwise F_k(g) is built and tested by
+    verdict is "token-edge-bound"; next, a lemma of `nonplanarity_by_minor`
+    rejects under its own name; only then is F_k(g) built and tested by
     `is_planar`. Raises BadK unless 1 <= k < n.
     """
     _check_k(g.n, k)
@@ -295,6 +297,9 @@ def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
     e = g.m * comb(g.n - 2, k - 1)
     if v >= 3 and (e > 3 * v - 6 or (e > 2 * v - 4 and g.is_bipartite())):
         return PlanarityVerdict(False, "token-edge-bound")
+    lemma = nonplanarity_by_minor(g, k)
+    if lemma is not None:
+        return PlanarityVerdict(False, lemma)
     return is_planar(build_token_graph(g, k).graph)
 
 

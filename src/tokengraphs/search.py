@@ -19,8 +19,8 @@ the image of that edge is a copy of H that passes the test.
 
 The search walks m upward from n-1 per order n, keeps the graphs whose
 k-token graphs are planar (`token_planarity`, which rejects by the token
-graph's edge count before building it), and stops at the first m with no
-survivor. Planarity of token graphs only ever degrades when edges are added
+graph's edge count, then by the paper's lemmas, before building it), and
+stops at the first m with no survivor. Planarity of token graphs only ever degrades when edges are added
 to the base, so every survivor at level m is a child of a survivor at level
 m - 1 (its canonical deletion among them), and a survivor is edge-maximal iff
 no survivor of level m + 1 loses an edge to it. The two modes differ only in

@@ -88,10 +88,11 @@ class SubsetCodec:
             yield x
 
     def rank(self, s) -> int:
-        """Colex rank of a KSubset or iterable of members."""
+        """Colex rank of a KSubset or iterable of k distinct members of 0..n-1."""
         members = s.members if isinstance(s, KSubset) else tuple(sorted(s))
         if len(members) != self.k:
             raise ValueError(f"expected a {self.k}-subset, got {members}")
+        KSubset(members, self.n)  # raises on repeated or out-of-range members
         cmb = self._comb
         return sum(cmb[c][i + 1] for i, c in enumerate(members))
 

@@ -212,7 +212,11 @@ def test_classify_planarity_agrees_with_direct_builds():
                     edges.add((u, v))
         g = Graph(n, sorted(edges))
         want = bool(is_planar(build_token_graph(g, k).graph))
-        assert classify_planarity(g, k).planar == want
+        v = classify_planarity(g, k)
+        assert v.planar == want
+        # "computed" names exactly the verdicts read off the built graph
+        assert (v.method == "computed") == (v.reason == "left-right")
+        assert v.method in ("computed", "structural")
 
 
 def test_classify_planarity_input_contract():

@@ -18,6 +18,7 @@ from tokengraphs import (
     build_token_graph,
     complete_graph,
     cycle_graph,
+    encode_graph6,
     format_script,
     lift_script,
     nonplanarity_by_minor,
@@ -25,6 +26,7 @@ from tokengraphs import (
     path_graph,
     star_graph,
 )
+from tokengraphs.search import _trees
 
 from util import random_graph
 
@@ -212,19 +214,19 @@ def test_certificate_selection(g, k, reason):
 
 
 def test_every_large_non_path_tree_is_certified():
-    """Non-path trees past 10 vertices always carry some certificate.
+    """Every non-path tree on 11..13 vertices carries a lemma of the paper.
 
-    The dedicated non-path-tree rule is checked last, so on trees it is
-    usually preempted by the claw-plus-path or degree certificates; what
-    matters is that one of them always fires.
+    A tree has no cycle, and k = 2 is not interior, so a vertex of degree
+    five or a path disjoint from a claw must fire.
     """
-    rng = random.Random(521)
-    tree_reasons = {"max-degree-5", "disjoint-p3-k13", "non-path-tree"}
-    for _ in range(400):
-        n = rng.randint(11, 14)
-        t = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
-        if t.is_path_graph():
-            continue
-        assert nonplanarity_by_minor(t, 2) in tree_reasons
+    tree_reasons = {"max-degree-5", "disjoint-p3-k13"}
+    walked = 0
+    for n in range(11, 14):
+        for t in _trees(n):
+            if t.is_path_graph():
+                continue
+            walked += 1
+            assert nonplanarity_by_minor(t, 2) in tree_reasons, encode_graph6(t)
+    assert walked == 234 + 550 + 1300
     # paths never certify
     assert nonplanarity_by_minor(path_graph(14), 2) is None

@@ -162,7 +162,7 @@ def test_large_planar_and_dense_inputs():
 
 
 def test_token_planarity_is_sound_and_otherwise_equals_the_build():
-    """An edge-bound reject is non-planar when built; any other verdict is the build's."""
+    """A reject without a build is non-planar when built; any other verdict is the build's."""
     cases = [
         (g, k)
         for n in range(4, 8)
@@ -178,11 +178,12 @@ def test_token_planarity_is_sound_and_otherwise_equals_the_build():
         verdict = token_planarity(g, k)
         built = is_planar(build_token_graph(g, k).graph)
         stages[verdict.method] += 1
-        if verdict.method == "token-edge-bound":
-            assert not built.planar, (encode_graph6(g), k)
-        else:
+        if verdict.method in ("euler-bound", "left-right"):
             assert verdict == built, (encode_graph6(g), k)
+        else:
+            assert not built.planar, (encode_graph6(g), k)
     assert stages["token-edge-bound"] and stages["left-right"]
+    assert {"max-degree-5", "cycle-5", "disjoint-p3-k13", "p7-inner-k"} <= set(stages)
     # only the bipartite bound can reject a tree at k = 4 (E <= 3V - 6 there)
     for n in range(8, 11):
         for t in _trees(n):

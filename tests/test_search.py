@@ -220,17 +220,36 @@ def test_verify_maximality_examples():
 
 
 def test_k4_census_builds_no_token_graph(monkeypatch):
-    """Every tree on 8..10 vertices breaks the bipartite edge bound at k = 4."""
+    """Every tree on 8..10 vertices breaks the bipartite edge bound at k = 4.
+
+    The edge bound runs before the lemmas, so neither is reached.
+    """
     expected = edge_maximal_search(4, range(8, 11))
 
     def no_build(*args, **kwargs):
         raise AssertionError("the edge count should decide every k = 4 candidate")
 
     monkeypatch.setattr(tokengraphs.planarity, "build_token_graph", no_build)
+    monkeypatch.setattr(tokengraphs.planarity, "nonplanarity_by_minor", no_build)
     report = edge_maximal_search(4, range(8, 11))
     assert report.maximal == ()
     assert report.entries == expected.entries
     assert report.stopped_at == {8: 7, 9: 8, 10: 9}
+
+
+@pytest.mark.parametrize("prune, orders, most", [(True, range(5, 11), 66), (False, range(5, 10), 83)])
+def test_k2_census_builds_only_what_no_lemma_rejects(monkeypatch, prune, orders, most):
+    """The paper's lemmas reject most candidates before a token graph is built."""
+    build = tokengraphs.planarity.build_token_graph
+    builds = []
+
+    def counted(g, k):
+        builds.append(g)
+        return build(g, k)
+
+    monkeypatch.setattr(tokengraphs.planarity, "build_token_graph", counted)
+    edge_maximal_search(2, orders, prune=prune)
+    assert 0 < len(builds) <= most
 
 
 def test_search_rejects_bad_ranges():

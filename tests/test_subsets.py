@@ -47,6 +47,13 @@ def test_rank_accepts_unsorted_iterables():
     assert codec.rank([4, 0, 2]) == codec.rank((0, 2, 4))
 
 
+def test_rank_rejects_repeated_and_out_of_range_members():
+    codec = SubsetCodec(5, 2)
+    for bad in ([1, 1], [-1, 2], [0, 7]):
+        with pytest.raises(ValueError):
+            codec.rank(bad)
+
+
 def test_unrank_bounds():
     codec = SubsetCodec(5, 2)
     with pytest.raises(IndexOutOfRange):
