@@ -228,6 +228,7 @@ class TokenPlanarity:
     planar: bool
     method: str
     reason: str
+    k: int
 
 
 def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
@@ -243,15 +244,16 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
         raise Disconnected("planarity classification is defined for connected graphs")
     if n > 10:
         if g.is_path_graph() and k in (2, n - 2):
-            return TokenPlanarity(True, "characterization", "path-outer-k")
+            return TokenPlanarity(True, "characterization", "path-outer-k", k)
         return TokenPlanarity(
             False,
             "characterization",
             "not-a-path" if not g.is_path_graph() else "inner-k",
+            k,
         )
     verdict = token_planarity(g, k)
     method = "computed" if verdict.method == "left-right" else "structural"
-    return TokenPlanarity(verdict.planar, method, verdict.method)
+    return TokenPlanarity(verdict.planar, method, verdict.method, k)
 
 
 def residual_degree_obstruction(g: Graph, k: int) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .canon import canonical_form, canonical_graph6
 from .classify import classify_planarity, classify_regularity
@@ -112,39 +113,8 @@ def _cmd_planar(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _read_one_graph(args)
-    if args.what == "regularity":
-        v = classify_regularity(g, args.k)
-        witness = None
-        if v.witness is not None:
-            witness = {
-                "subset_a": list(v.witness.subset_a),
-                "subset_b": list(v.witness.subset_b),
-                "degree_a": v.witness.degree_a,
-                "degree_b": v.witness.degree_b,
-                "branch": v.witness.branch,
-            }
-        print(
-            json.dumps(
-                {
-                    "regular": v.regular,
-                    "case": v.case.value,
-                    "k": v.k,
-                    "witness": witness,
-                }
-            )
-        )
-    else:
-        v = classify_planarity(g, args.k)
-        print(
-            json.dumps(
-                {
-                    "planar": v.planar,
-                    "method": v.method,
-                    "reason": v.reason,
-                    "k": args.k,
-                }
-            )
-        )
+    classify = classify_regularity if args.what == "regularity" else classify_planarity
+    print(json.dumps(asdict(classify(g, args.k))))
     return 0
 
 

@@ -13,9 +13,7 @@ the endpoints into min(u, v).
 
 from __future__ import annotations
 
-from .errors import NoSuchVertex, NotAnEdge, SizeLimitExceeded, UnsupportedPattern
-
-CIRCUMFERENCE_MAX_N = 16
+from .errors import NoSuchVertex, NotAnEdge, UnsupportedPattern
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -354,45 +352,24 @@ def _two_core(g: Graph) -> int:
     return alive
 
 
-def _longest_cycle_from(g: Graph, start: int, allowed: int, target: int | None) -> int:
-    """Longest cycle through `start` using only vertices in `allowed`.
+def _has_cycle_from(g: Graph, start: int, allowed: int, target: int) -> bool:
+    """True iff a cycle of >= `target` vertices runs through `start` inside `allowed`.
 
     Vertices below `start` are excluded by the caller, so each cycle is
-    counted once, rooted at its minimum vertex. If `target` is given, the
-    search stops early once a cycle of at least that many vertices is found.
+    counted once, rooted at its minimum vertex.
     """
     adj = g._adj
-    best = 0
     start_bit = 1 << start
     # stack entries: (vertex, visited mask, path length in edges)
     stack = [(start, start_bit, 0)]
     while stack:
         v, visited, length = stack.pop()
         nbrs = adj[v] & allowed
-        if length >= 2 and nbrs & start_bit:
-            if length + 1 > best:
-                best = length + 1
-                if target is not None and best >= target:
-                    return best
+        if length >= 2 and length + 1 >= target and nbrs & start_bit:
+            return True
         for w in _bits(nbrs & ~visited):
             stack.append((w, visited | (1 << w), length + 1))
-    return best
-
-
-def circumference(g: Graph) -> int:
-    """Length of a longest cycle (0 if acyclic). Exhaustive; capped size."""
-    if g.n > CIRCUMFERENCE_MAX_N:
-        raise SizeLimitExceeded(
-            f"circumference is exhaustive and capped at n <= {CIRCUMFERENCE_MAX_N}"
-        )
-    core = _two_core(g)
-    best = 0
-    for s in _bits(core):
-        allowed = core & ~((1 << s) - 1)
-        best = max(best, _longest_cycle_from(g, s, allowed, None))
-        if best == core.bit_count():
-            break
-    return best
+    return False
 
 
 def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
@@ -404,7 +381,7 @@ def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
         allowed = core & ~((1 << s) - 1)
         if allowed.bit_count() < length:
             continue
-        if _longest_cycle_from(g, s, allowed, length) >= length:
+        if _has_cycle_from(g, s, allowed, length):
             return True
     return False
 

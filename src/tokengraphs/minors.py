@@ -138,90 +138,59 @@ class LiftedScript:
         return tuple(out)
 
 
-class _LabelTracker:
-    """Current token-graph label of every live subset (keyed by base mask)."""
-
-    def __init__(self, n: int, k: int):
-        self.labels: dict[int, int] = {
-            mask: r for r, mask in enumerate(SubsetCodec(n, k).masks())
-        }
-
-    def delete(self, mask: int, out: list) -> None:
-        lbl = self.labels.pop(mask)
-        out.append(DeleteVertex(lbl))
-        for key, other in self.labels.items():
-            if other > lbl:
-                self.labels[key] = other - 1
-
-    def contract(self, keep_mask: int, drop_mask: int, out: list) -> None:
-        c1 = self.labels[keep_mask]
-        c2 = self.labels.pop(drop_mask)
-        out.append(ContractEdge(c1, c2))
-        hi = max(c1, c2)
-        self.labels[keep_mask] = min(c1, c2)
-        for key, other in self.labels.items():
-            if other > hi:
-                self.labels[key] = other - 1
-
-    def doomed(self, bit_filter: int) -> list[int]:
-        """Masks containing all bits of `bit_filter`, highest label first."""
-        hits = [m for m in self.labels if m & bit_filter == bit_filter]
-        hits.sort(key=lambda m: self.labels[m], reverse=True)
-        return hits
-
-    def rekey_without(self, v: int) -> None:
-        self.labels = {_drop_bit(m, v): lbl for m, lbl in self.labels.items()}
-
-
 def lift_script(g: Graph, k: int, ops) -> LiftedScript:
-    """Translate a base-graph script into an equivalent token-graph script."""
+    """Translate a base-graph script into an equivalent token-graph script.
+
+    `live[label]` is the base mask of the token vertex with that label, so
+    editing the list relabels as `Graph` does: a deletion compacts the labels
+    above it, and a contraction merges into the smaller label. The list stays
+    in increasing mask order, since a contraction keeps the smaller mask of
+    each matched pair and dropping a bit that no live mask holds keeps order;
+    so sorting masks sorts their labels, and the a-side of a matched pair has
+    the smaller label.
+    """
     if not 1 <= k < g.n:
         raise BadK(f"k={k} is outside 1..n-1 for n={g.n}")
-    tracker = _LabelTracker(g.n, k)
+    live = list(SubsetCodec(g.n, k).masks())
     bg = g
     steps = []
     for op in ops:
         emitted: list = []
+        doomed = 0  # tokens holding all these bits die with the step
         if isinstance(op, DeleteVertex):
-            a = op.v
-            if not 0 <= a < bg.n:
-                raise InvalidScript(f"vertex {a} is out of range for n={bg.n}")
-            for mask in tracker.doomed(1 << a):
-                tracker.delete(mask, emitted)
-            tracker.rekey_without(a)
-            bg = bg.delete_vertex(a)
-        elif isinstance(op, DeleteEdge):
+            if not 0 <= op.v < bg.n:
+                raise InvalidScript(f"vertex {op.v} is out of range for n={bg.n}")
+            doomed, gone = 1 << op.v, op.v
+        elif isinstance(op, (DeleteEdge, ContractEdge)):
             a, b = normalize_edge(op.u, op.v)
             if not bg.has_edge(a, b):
-                raise InvalidScript(f"edge ({a},{b}) is not present")
-            others = [v for v in range(bg.n) if v not in (a, b)]
-            pairs = []
-            for rest in combinations(others, k - 1):
-                base = _mask(rest)
-                la = tracker.labels[base | (1 << a)]
-                lb = tracker.labels[base | (1 << b)]
-                pairs.append((min(la, lb), max(la, lb)))
-            for lo, hi in sorted(pairs):
-                emitted.append(DeleteEdge(lo, hi))
-            bg = bg.delete_edge(a, b)
-        elif isinstance(op, ContractEdge):
-            a, b = normalize_edge(op.u, op.v)
-            if not bg.has_edge(a, b):
+                if isinstance(op, DeleteEdge):
+                    raise InvalidScript(f"edge ({a},{b}) is not present")
                 raise InvalidScript(f"edge ({a},{b}) cannot be contracted")
             others = [v for v in range(bg.n) if v not in (a, b)]
-            matching = []
-            for rest in combinations(others, k - 1):
-                base = _mask(rest)
-                keep = base | (1 << a)
-                matching.append((tracker.labels[keep], keep, base | (1 << b)))
-            for _, keep, drop in sorted(matching):
-                tracker.contract(keep, drop, emitted)
-            for mask in tracker.doomed((1 << a) | (1 << b)):
-                tracker.delete(mask, emitted)
-            tracker.rekey_without(b)
-            bg = bg.contract_edge(a, b)
+            pairs = sorted(
+                (base | 1 << a, base | 1 << b)
+                for base in map(_mask, combinations(others, k - 1))
+            )
+            if isinstance(op, DeleteEdge):
+                label = {m: i for i, m in enumerate(live)}
+                emitted = [DeleteEdge(label[x], label[y]) for x, y in pairs]
+            else:
+                for keep, drop in pairs:
+                    i, j = live.index(keep), live.index(drop)
+                    emitted.append(ContractEdge(i, j))
+                    live[min(i, j)] = keep
+                    del live[max(i, j)]
+                doomed, gone = 1 << a | 1 << b, b
         else:
             raise InvalidScript(f"unknown operation {op!r}")
+        if doomed:
+            for i in reversed(range(len(live))):
+                if live[i] & doomed == doomed:
+                    emitted.append(DeleteVertex(i))
+                    del live[i]
+            live = [_drop_bit(m, gone) for m in live]
+        bg = op.apply(bg)
         steps.append(LiftedStep(base_op=op, ops=tuple(emitted)))
     return LiftedScript(k=k, steps=tuple(steps))
 

@@ -30,12 +30,16 @@ which cross-checks the pruning. "file" mode reads each level from a graph6
 stream instead of growing it; each level there must be complete, as
 `geng -c` writes it. One search grows its trees and decodes its graph6
 stream only once.
+
+`GENERATOR_MAX_N` caps the trees, `graph_classes` and verbatim mode; it
+guards tree growth, which the budget cannot interrupt. For 11 <= n <= 14 a
+pruned search stays near the trees: k = 2 keeps only the path and stops at
+m = n, and k >= 3 stops at the trees.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from itertools import count, islice
@@ -46,8 +50,7 @@ from .graph6 import iter_graph6
 from .graphs import Graph, _bits, _mask, empty_graph
 from .planarity import token_planarity
 
-GENERATOR_MAX_N = 10
-BUDGET_ENV_VAR = "TOKENS_BUDGET_SECS"
+GENERATOR_MAX_N = 14
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +175,9 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of (n, m)-graphs.
 
     Dense levels are answered by complementing the sparse ones. The middle
-    levels of n = 9, 10 are out of practical reach; the package only ever
-    needs small m (or small co-m) there.
+    levels are out of practical reach for n >= 9, up to the cap
+    `GENERATOR_MAX_N`; the package only ever needs small m (or small co-m)
+    there.
     """
     if n < 0 or m < 0:
         return ()
@@ -284,30 +288,6 @@ def verify_maximality(g: Graph, k: int) -> bool:
     return True
 
 
-class _Budget:
-    def __init__(self, budget_secs: float | None):
-        if budget_secs is None:
-            env = os.environ.get(BUDGET_ENV_VAR)
-            try:
-                budget_secs = float(env) if env else None
-            except ValueError:
-                budget_secs = None  # an unreadable env budget means no budget
-            if budget_secs is not None and not math.isfinite(budget_secs):
-                budget_secs = None  # so is a NaN or infinite one
-        elif not math.isfinite(budget_secs):
-            raise TokenGraphError(
-                f"the search budget must be a finite number of seconds, got {budget_secs}"
-            )
-        self.start = time.monotonic()
-        self.deadline = None if budget_secs is None else self.start + budget_secs
-
-    def exhausted(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
-
-
 def edge_maximal_search(
     k: int,
     n_range,
@@ -320,10 +300,9 @@ def edge_maximal_search(
 
     Follows the ascending (n, m) protocol; see the module docstring for the
     pruned/verbatim distinction. The search runs in the calling process. A
-    wall-clock budget (argument or the TOKENS_BUDGET_SECS environment
-    variable) turns the report partial rather than raising; a NaN or
-    infinite budget argument raises `TokenGraphError`, and an empty
-    `n_range` raises `BadK`.
+    wall-clock `budget_secs` turns the report partial rather than raising; a
+    NaN or infinite one raises `TokenGraphError`, and an empty `n_range`
+    raises `BadK`.
     """
     if k < 2:
         raise BadK(f"the search is defined for k >= 2, got k={k}")
@@ -341,8 +320,13 @@ def edge_maximal_search(
                 f"built-in generation is capped at n <= {GENERATOR_MAX_N}; "
                 "pass from_file=... to search larger orders"
             )
+    if budget_secs is not None and not math.isfinite(budget_secs):
+        raise TokenGraphError(
+            f"the search budget must be a finite number of seconds, got {budget_secs}"
+        )
     mode = "file" if from_file is not None else ("pruned" if prune else "verbatim")
-    budget = _Budget(budget_secs)
+    start = time.monotonic()
+    deadline = math.inf if budget_secs is None else start + budget_secs
     entries: list[SearchEntry] = []
     maximal: list[str] = []
     stopped_at: dict[int, int] = {}
@@ -350,7 +334,7 @@ def edge_maximal_search(
     trees = _tree_levels()  # advanced up the ascending orders, never restarted
     levels = None if from_file is None else _read_levels(from_file, set(ns))
     for n in ns:
-        partial = _search_order(n, k, mode, trees, levels, budget, entries, maximal, stopped_at)
+        partial = _search_order(n, k, mode, trees, levels, deadline, entries, maximal, stopped_at)
         if partial:
             break
     return SearchReport(
@@ -358,13 +342,13 @@ def edge_maximal_search(
         entries=tuple(entries),
         maximal=tuple(sorted(maximal)),
         stopped_at=stopped_at,
-        elapsed_secs=budget.elapsed(),
+        elapsed_secs=time.monotonic() - start,
         mode=mode,
         partial=partial,
     )
 
 
-def _search_order(n, k, mode, trees, levels, budget, entries, maximal, stopped_at) -> bool:
+def _search_order(n, k, mode, trees, levels, deadline, entries, maximal, stopped_at) -> bool:
     """One order, level by level from m = n-1. Returns True when the budget ran out.
 
     Survivors are reported maximal once the next level is tested; a budget
@@ -373,7 +357,7 @@ def _search_order(n, k, mode, trees, levels, budget, entries, maximal, stopped_a
     level: list[Graph] = []
     pending: list[Graph] = []  # survivors of level m - 1
     for m in count(n - 1):
-        if budget.exhausted():
+        if time.monotonic() > deadline:
             return True
         if mode == "file":
             level = _dedup(levels.get((n, m), ()), canonical_graph6)

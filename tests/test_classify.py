@@ -233,6 +233,18 @@ def test_residual_degree_obstruction():
         residual_degree_obstruction(Graph(4, [(0, 1), (2, 3)]), 2)
     with pytest.raises(BadK):
         residual_degree_obstruction(path_graph(5), 4)
-    # values are booleans on ordinary inputs
-    assert residual_degree_obstruction(complete_graph(6), 3) in (True, False)
-    assert residual_degree_obstruction(path_graph(5), 2) in (True, False)
+
+
+def test_residual_degree_obstruction_is_sound():
+    """On every connected class with n <= 7, a True verdict means F_k(G) is non-planar."""
+    fired = 0
+    for n in range(4, 8):
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            for g in graph_classes(n, m):
+                if not g.is_connected():
+                    continue
+                for k in range(2, n - 1):
+                    if residual_degree_obstruction(g, k):
+                        fired += 1
+                        assert not is_planar(build_token_graph(g, k).graph), (g.edges(), k)
+    assert fired == 3286

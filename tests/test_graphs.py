@@ -6,7 +6,6 @@ from tokengraphs import (
     Graph,
     NoSuchVertex,
     NotAnEdge,
-    SizeLimitExceeded,
     UnsupportedPattern,
     complete_bipartite_graph,
     complete_graph,
@@ -20,7 +19,7 @@ from tokengraphs import (
     petersen_graph,
     star_graph,
 )
-from tokengraphs.graphs import circumference, normalize_edge
+from tokengraphs.graphs import normalize_edge
 
 from util import random_connected_graph, random_graph, random_tree
 
@@ -150,31 +149,25 @@ def test_tree_and_shape_predicates():
     assert Graph(4, [(0, 1), (2, 3)]).is_forest()
 
 
-def test_circumference_known_values():
-    assert circumference(path_graph(6)) == 0
-    assert circumference(cycle_graph(7)) == 7
-    assert circumference(complete_graph(4)) == 4
-    assert circumference(octahedron_graph()) == 6
-    # Petersen is hypohamiltonian: longest cycle has 9 of its 10 vertices.
-    assert circumference(petersen_graph()) == 9
-
-
 def test_has_cycle_of_length_at_least():
+    # (graph, circumference): a cycle of >= c vertices exists and one of >= c + 1 does not
+    for g, c in [
+        (cycle_graph(7), 7),
+        (complete_graph(4), 4),
+        (octahedron_graph(), 6),
+        (petersen_graph(), 9),  # hypohamiltonian: no cycle through all 10 vertices
+    ]:
+        assert has_cycle_of_length_at_least(g, c)
+        assert not has_cycle_of_length_at_least(g, c + 1)
+    assert not has_cycle_of_length_at_least(path_graph(6), 3)  # acyclic
     assert has_cycle_of_length_at_least(cycle_graph(5), 5)
     assert not has_cycle_of_length_at_least(cycle_graph(5), 6)
-    assert has_cycle_of_length_at_least(complete_graph(4), 4)
-    assert not has_cycle_of_length_at_least(complete_graph(4), 5)
     assert not has_cycle_of_length_at_least(random_tree(random.Random(1), 30), 3)
     # no size cap: a long cycle with a pendant path
     big = Graph(40, [(i, (i + 1) % 30) for i in range(30)] + [(0, 30)] +
                 [(i, i + 1) for i in range(30, 39)])
     assert has_cycle_of_length_at_least(big, 30)
     assert not has_cycle_of_length_at_least(big, 31)
-
-
-def test_circumference_is_capped():
-    with pytest.raises(SizeLimitExceeded):
-        circumference(empty_graph(40))
 
 
 def test_subgraph_patterns():

@@ -104,10 +104,28 @@ def test_lift_on_a_worked_example():
 
 
 def test_lift_contract_produces_contractions_then_deletions():
+    """Contracting 01 in K_4 matches {0,2}~{1,2} and {0,3}~{1,3}, then drops {0,1}."""
     lifted = lift_script(complete_graph(4), 2, (ContractEdge(0, 1),))
     (step,) = lifted.steps
-    kinds = [type(op) for op in step.ops]
-    assert kinds == [ContractEdge, ContractEdge, DeleteVertex]
+    # pairs in colex order: {0,1} {0,2} {1,2} {0,3} {1,3} {2,3} are 0..5;
+    # merging 1,2 shifts {0,3},{1,3} down to 2,3
+    assert step.ops == (ContractEdge(1, 2), ContractEdge(2, 3), DeleteVertex(0))
+
+
+def test_lift_delete_edge_pins_labels():
+    """Deleting edge 12 of C_5 deletes the token edges {x,1}~{x,2} for x = 0, 3, 4."""
+    (step,) = lift_script(cycle_graph(5), 2, (DeleteEdge(2, 1),)).steps
+    assert step.ops == (DeleteEdge(0, 1), DeleteEdge(4, 5), DeleteEdge(7, 8))
+
+
+def test_lift_three_step_script_pins_labels():
+    """Each step is written against the labels the previous steps left."""
+    lifted = lift_script(complete_graph(6), 2, parse_script("dv 5\nce 0 1\nde 0 2"))
+    assert [step.ops for step in lifted.steps] == [
+        tuple(DeleteVertex(v) for v in (14, 13, 12, 11, 10)),
+        (ContractEdge(1, 2), ContractEdge(2, 3), ContractEdge(4, 5), DeleteVertex(0)),
+        (DeleteEdge(0, 2), DeleteEdge(3, 5)),
+    ]
 
 
 def test_lifted_script_replays_on_the_token_graph():

@@ -197,7 +197,7 @@ def test_dense_levels_use_complements():
 
 def test_generator_size_cap_and_file_escape_hatch(tmp_path):
     with pytest.raises(SizeLimitExceeded):
-        graph_classes(11, 3)
+        graph_classes(15, 3)
     path = tmp_path / "n11.g6"
     graphs = [path_graph(11), cycle_graph(11), shuffled(random.Random(1), path_graph(11))]
     path.write_text("\n".join(encode_graph6(g) for g in graphs) + "\n")
@@ -206,7 +206,7 @@ def test_generator_size_cap_and_file_escape_hatch(tmp_path):
     assert len(got) == 1
     assert got[0].degree_multiset() == path_graph(11).degree_multiset()
     with pytest.raises(SizeLimitExceeded):
-        list(connected_graphs(11, 10))  # the trees keep the generator's cap
+        list(connected_graphs(15, 14))  # the trees keep the generator's cap
 
 
 def test_verify_maximality_examples():
@@ -252,13 +252,22 @@ def test_k2_census_builds_only_what_no_lemma_rejects(monkeypatch, prune, orders,
     assert 0 < len(builds) <= most
 
 
+def test_k2_census_past_ten_keeps_only_the_paths():
+    """For 11 <= n <= 13 only P_n has a planar F_2, and its one-edge extensions do not."""
+    report = edge_maximal_search(2, range(11, 14))
+    assert report.maximal == ("J??PE?gS?W?", "K??@E?gS?WA_", "L???HB?IA_@OD?")
+    assert report.maximal == tuple(canonical_graph6(path_graph(n)) for n in range(11, 14))
+    assert report.stopped_at == {11: 11, 12: 12, 13: 13}
+    assert not report.partial
+
+
 def test_search_rejects_bad_ranges():
     with pytest.raises(BadK):
         edge_maximal_search(1, range(4, 5))
     with pytest.raises(BadK):
         edge_maximal_search(3, range(5, 6))  # n < 2k has no 2 <= k <= n-2 story
     with pytest.raises(SizeLimitExceeded):
-        edge_maximal_search(2, range(10, 12))
+        edge_maximal_search(2, range(14, 16))
     with pytest.raises(BadK):
         edge_maximal_search(2, range(4, 4))  # no order to search
 
@@ -349,16 +358,6 @@ def test_budget_flag_yields_partial_reports():
     assert report.partial
     full = edge_maximal_search(2, range(5, 7), budget_secs=3600)
     assert not full.partial
-
-
-def test_budget_env_var_is_the_fallback(monkeypatch):
-    monkeypatch.setenv("TOKENS_BUDGET_SECS", "0.0")
-    assert edge_maximal_search(2, range(5, 11)).partial
-    monkeypatch.setenv("TOKENS_BUDGET_SECS", "not-a-number")
-    assert not edge_maximal_search(2, range(5, 6)).partial
-    for unreadable in ("nan", "inf", "-inf"):
-        monkeypatch.setenv("TOKENS_BUDGET_SECS", unreadable)
-        assert not edge_maximal_search(2, range(5, 6)).partial
 
 
 def test_non_finite_budget_is_rejected():
