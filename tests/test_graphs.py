@@ -149,7 +149,7 @@ def test_tree_and_shape_predicates():
     assert Graph(4, [(0, 1), (2, 3)]).is_forest()
 
 
-def test_has_cycle_of_length_at_least():
+def test_circumference_known_values():
     # (graph, circumference): a cycle of >= c vertices exists and one of >= c + 1 does not
     for g, c in [
         (cycle_graph(7), 7),
@@ -160,6 +160,9 @@ def test_has_cycle_of_length_at_least():
         assert has_cycle_of_length_at_least(g, c)
         assert not has_cycle_of_length_at_least(g, c + 1)
     assert not has_cycle_of_length_at_least(path_graph(6), 3)  # acyclic
+
+
+def test_has_cycle_of_length_at_least():
     assert has_cycle_of_length_at_least(cycle_graph(5), 5)
     assert not has_cycle_of_length_at_least(cycle_graph(5), 6)
     assert not has_cycle_of_length_at_least(random_tree(random.Random(1), 30), 3)
