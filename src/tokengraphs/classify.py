@@ -4,7 +4,11 @@
 shape of g: exactly the complete graph, the edgeless graph, and (for k = n/2)
 the star and its complement produce regular token graphs. Everything else is
 irregular, and the verdict carries a concrete witness pair of token vertices
-with different degrees.
+with different degrees. The witness comes from an exact swap search: any two
+k-subsets are joined by a chain of single swaps S + u -> S + v, so an
+irregular F_k(g) has such a pair with different degrees, and the swap
+identity in `RegularityWitness` tells from g alone which pairs (u, v) admit
+one.
 
 `classify_planarity` decides planarity of F_k(g) for connected g: the path
 characterization for n > 10, and at small orders, where no characterization
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import (
     BadK,
@@ -30,7 +35,7 @@ from .errors import (
 from .graphs import Graph, _bits, _iter_embeddings, path_graph
 from .planarity import token_planarity
 from .subsets import SubsetCodec
-from .tokens import build_token_graph, token_degree
+from .tokens import token_degree
 
 SUBSTITUTION_VERIFY_LIMIT = 20000
 
@@ -45,13 +50,23 @@ class RegularityCase(str, Enum):
 
 @dataclass(frozen=True)
 class RegularityWitness:
-    """Two token vertices with different degrees, and how they were found."""
+    """Two token vertices A = S + u and B = S + v with different degrees.
+
+    S is a (k-1)-subset avoiding u and v. With X, Y, W, Z the cells of
+    `partition_uv(g, u, v)`, only u's and v's edges into S change across the
+    swap, so
+
+        d(S + u) - d(S + v) = (deg u - deg v) - 2(|S ∩ X| - |S ∩ Y|).
+
+    Any two k-subsets are joined by a chain of such swaps, so F_k(g) is
+    irregular iff some pair (u, v) and counts s_x <= |X|, s_y <= |Y| with
+    0 <= k - 1 - s_x - s_y <= |W| + |Z| give deg u - deg v != 2(s_x - s_y).
+    """
 
     subset_a: tuple[int, ...]
     subset_b: tuple[int, ...]
     degree_a: int
     degree_b: int
-    branch: str  # "s-in-z" | "s-in-x" | "s-in-w" | "scan"
 
 
 @dataclass(frozen=True)
@@ -97,53 +112,29 @@ def partition_uv(g: Graph, u: int, v: int) -> NeighborhoodPartition:
     )
 
 
-def _substitution_witness(g: Graph, kk: int) -> RegularityWitness | None:
-    """Witness via A = S+u, B = S+v for a max/min degree pair, if one fits.
+def _swap_witness(g: Graph, k: int) -> RegularityWitness | None:
+    """Two k-subsets S + u and S + v of different token degree, if any exist.
 
-    With S drawn from a single cell of the (u,v) partition the degree gap is
-    predictable: z and w leave it at deg(u) - deg(v), while x shifts it by
-    -2(k-1). Each candidate is verified with token_degree before use.
+    For each pair u < v, the counts s_x = |S ∩ X| and s_y = |S ∩ Y| fix the
+    degree gap (RegularityWitness has the identity); the rest of S comes
+    from W ∪ Z. The search is exact and costs O(n²k²): it enumerates counts,
+    never subsets.
     """
     degs = g.degrees()
-    u = max(range(g.n), key=lambda i: degs[i])
-    v = min(range(g.n), key=lambda i: degs[i])
-    delta = degs[u] - degs[v]
-    if delta == 0:
-        return None
-    part = partition_uv(g, u, v)
-    for branch, cell in (("s-in-z", part.z), ("s-in-x", part.x), ("s-in-w", part.w)):
-        if len(cell) < kk - 1:
-            continue
-        if branch == "s-in-x" and delta == 2 * (kk - 1):
-            continue  # the shift would cancel the degree gap exactly
-        s = sorted(cell)[: kk - 1]
-        a = tuple(sorted(s + [u]))
-        b = tuple(sorted(s + [v]))
-        da = token_degree(g, a)
-        db = token_degree(g, b)
-        if da != db:
-            return RegularityWitness(a, b, da, db, branch)
+    for u, v in combinations(range(g.n), 2):
+        part = partition_uv(g, u, v)
+        gap = degs[u] - degs[v]
+        spare = len(part.w) + len(part.z)
+        for sx in range(min(len(part.x), k - 1) + 1):
+            for sy in range(max(0, k - 1 - sx - spare), min(len(part.y), k - 1 - sx) + 1):
+                if gap == 2 * (sx - sy):
+                    continue
+                s = sorted(part.x)[:sx] + sorted(part.y)[:sy]
+                s += sorted(part.w | part.z)[: k - 1 - sx - sy]
+                a = tuple(sorted(s + [u]))
+                b = tuple(sorted(s + [v]))
+                return RegularityWitness(a, b, token_degree(g, a), token_degree(g, b))
     return None
-
-
-def _scan_witness(g: Graph, kk: int) -> RegularityWitness | None:
-    masks = SubsetCodec(g.n, kk).masks()
-    first = tuple(_bits(next(masks)))
-    d0 = token_degree(g, first)
-    for mask in masks:
-        s = tuple(_bits(mask))
-        d = token_degree(g, s)
-        if d != d0:
-            return RegularityWitness(first, s, d0, d, "scan")
-    return None
-
-
-def _complemented_witness(g: Graph, w: RegularityWitness) -> RegularityWitness:
-    sa = set(w.subset_a)
-    sb = set(w.subset_b)
-    a = tuple(x for x in range(g.n) if x not in sa)
-    b = tuple(x for x in range(g.n) if x not in sb)
-    return RegularityWitness(a, b, token_degree(g, a), token_degree(g, b), w.branch)
 
 
 def classify_regularity(g: Graph, k: int) -> RegularityVerdict:
@@ -160,15 +151,12 @@ def classify_regularity(g: Graph, k: int) -> RegularityVerdict:
             return RegularityVerdict(True, RegularityCase.STAR_HALF, k, None)
         if g.complement().is_star_graph():
             return RegularityVerdict(True, RegularityCase.COSTAR_HALF, k, None)
-    kk = min(k, n - k)  # F_k and F_{n-k} are isomorphic via complementation
-    witness = _substitution_witness(g, kk) or _scan_witness(g, kk)
+    witness = _swap_witness(g, k)
     if witness is None:
         raise TokenGraphError(
             "internal error: no witness found although the token graph "
             "should be irregular"
         )
-    if kk != k:
-        witness = _complemented_witness(g, witness)
     if witness.degree_a == witness.degree_b:
         raise TokenGraphError("internal error: witness degrees agree")
     return RegularityVerdict(False, RegularityCase.NOT_REGULAR, k, witness)
@@ -199,15 +187,13 @@ def uniform_substitution_degree(
         raise BadK(f"substitution degree needs 2 <= k <= n-2, got k={k}, n={n}")
     if not g.is_regular():
         raise NotRegularInput("base graph is not regular")
-    r1 = g.degree(0)
-    tg = build_token_graph(g, k)
-    tdegs = tg.graph.degrees()
-    if min(tdegs) != max(tdegs):
+    if not classify_regularity(g, k).regular:
         raise NotRegularInput("token graph is not regular")
-    r2 = tdegs[0]
+    r1 = g.degree(0)
+    r2 = token_degree(g, range(k))
     c = Fraction(r2 - k * r1, 1 - k)
-    if tg.codec.size * (n - k) <= verify_limit:
-        for mask in tg.codec.masks():
+    if comb(n, k) * (n - k) <= verify_limit:
+        for mask in SubsetCodec(n, k).masks():
             for b in _bits(((1 << n) - 1) & ~mask):
                 observed = (g.adjacency_mask(b) & mask).bit_count()
                 if observed != c:
@@ -259,9 +245,17 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
 def residual_degree_obstruction(g: Graph, k: int) -> bool:
     """Non-planarity certificate from deleting a 3-vertex path.
 
-    True iff removing the vertex set of some P_3 of g leaves a graph whose
-    (k-1)- or (k-2)-token graph has maximum degree above two. True means
+    True iff removing the vertex set of some P_3 of g leaves a graph h whose
+    j-token graph, j = k-1 or k-2, has maximum degree above two. True means
     F_k(g) is non-planar; False decides nothing.
+
+    Proof. Let T have neighbours T1, T2, T3 in F_j(h), and put the other
+    k - j tokens on the removed P_3. Their placements P form F_1(P_3) = P_3
+    for one token and F_2(P_3) ≅ P_3 for two. The ground sets are disjoint,
+    so the sets P ∪ T' for T' in {T, T1, T2, T3} span a copy of
+    P_3 □ K_{1,3} in F_k(g): a move inside the path keeps T', and a move
+    inside h keeps P. Contracting each path P_3 × {Ti} to one vertex leaves
+    three vertices joined to all of P_3 × {T}: a K_{3,3} minor. So F_k(g) is non-planar.
     """
     n = g.n
     if not 2 <= k <= n - 2:

@@ -12,6 +12,7 @@ from tokengraphs import (
     NotAnEdge,
     NotRegularInput,
     RegularityCase,
+    RegularityWitness,
     SubsetCodec,
     build_token_graph,
     classify_planarity,
@@ -101,31 +102,67 @@ def test_exhaustive_verdicts_match_built_token_graphs():
                     assert verdict.k == k
                     if not truth:
                         w = verdict.witness
-                        assert w.branch in ("s-in-z", "s-in-x", "s-in-w", "scan")
                         assert token_degree(g, w.subset_a) == w.degree_a
                         assert token_degree(g, w.subset_b) == w.degree_b
                         assert w.degree_a != w.degree_b
                         assert len(w.subset_a) == len(w.subset_b) == k
 
 
+def _assert_verified(g, k, w):
+    assert token_degree(g, w.subset_a) == w.degree_a
+    assert token_degree(g, w.subset_b) == w.degree_b
+    assert w.degree_a != w.degree_b
+    assert len(w.subset_a) == len(w.subset_b) == k
+    assert len(set(w.subset_a) ^ set(w.subset_b)) == 2  # one swap apart
+
+
 def test_witness_branches_are_all_reachable():
-    # this one needs the common-neighbour branch
-    assert classify_regularity(decode_graph6("DtO"), 2).witness.branch == "s-in-w"
-    # degree-gap graphs use the substitution branches; regular graphs that
-    # are not complete/empty/half-star fall back to the colex scan
-    assert classify_regularity(cycle_graph(6), 2).witness.branch == "scan"
+    # the swap search takes the first pair u < v and the first counts
+    # (s_x, s_y) whose degree gap is nonzero, at k itself
+    assert classify_regularity(decode_graph6("DtO"), 2).witness == RegularityWitness(
+        (0, 4), (1, 4), 4, 1
+    )
+    assert classify_regularity(decode_graph6("DtO"), 3).witness == RegularityWitness(
+        (0, 2, 4), (1, 2, 4), 4, 3
+    )
+    # a regular base that is not complete/empty/half-star still has a swap
+    assert classify_regularity(cycle_graph(6), 2).witness == RegularityWitness(
+        (0, 2), (1, 2), 4, 2
+    )
     rng = random.Random(62)
-    seen = set()
     for _ in range(400):
         g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.2, 0.8))
-        v = classify_regularity(g, rng.randint(2, g.n - 2))
-        if v.witness:
-            seen.add(v.witness.branch)
-    assert {"s-in-z", "s-in-x"} <= seen
+        k = rng.randint(2, g.n - 2)
+        w = classify_regularity(g, k).witness
+        if w:
+            _assert_verified(g, k, w)
+
+
+def _matching(n):
+    return Graph(n, [(i, i + n // 2) for i in range(n // 2)])
+
+
+def test_large_matching_gets_a_witness():
+    # the 70-vertex matching once hit the subset codec's order cap
+    g = _matching(70)
+    v = classify_regularity(g, 2)
+    assert not v.regular
+    _assert_verified(g, 2, v.witness)
+
+
+def test_regularity_never_enumerates_subsets(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the witness search must not walk subsets")
+
+    monkeypatch.setattr(SubsetCodec, "masks", refuse)
+    g = _matching(64)
+    v = classify_regularity(g, 16)
+    assert not v.regular
+    _assert_verified(g, 16, v.witness)
 
 
 def test_large_k_is_classified_through_the_complement():
-    # k above n/2 routes through F_{n-k}; the witness must still verify
+    # k above n/2 is searched at k itself; the witness must still verify
     g = decode_graph6("DtO")
     v = classify_regularity(g, 3)
     assert not v.regular
@@ -159,13 +196,13 @@ def test_substitution_degree_skips_verification_when_capped():
 
 def test_scan_and_substitution_check_walk_the_masks(monkeypatch):
     def refuse(self, r):
-        raise AssertionError("both walk SubsetCodec.masks in rank order")
+        raise AssertionError("neither unranks a subset")
 
     monkeypatch.setattr(SubsetCodec, "unrank", refuse)
     monkeypatch.setattr(SubsetCodec, "unrank_mask", refuse)
     w = classify_regularity(cycle_graph(8), 4).witness
-    assert (w.subset_a, w.subset_b, w.degree_a, w.degree_b, w.branch) == (
-        (0, 1, 2, 3), (0, 1, 2, 4), 2, 4, "scan"
+    assert (w.subset_a, w.subset_b, w.degree_a, w.degree_b) == (
+        (0, 2, 3, 4), (1, 2, 3, 4), 4, 2
     )
     assert uniform_substitution_degree(complete_graph(6), 3) == 3
     # an expected constant that is off by a third fails at the first pair:
@@ -248,3 +285,17 @@ def test_residual_degree_obstruction_is_sound():
                         fired += 1
                         assert not is_planar(build_token_graph(g, k).graph), (g.edges(), k)
     assert fired == 3286
+
+
+def test_residual_certificate_graph_is_non_planar():
+    """P_3 □ K_{1,3}, the subgraph the residual certificate finds in F_k(G)."""
+    cells = [(p, t) for p in range(3) for t in range(4)]  # t = 0 is the centre
+    index = {cell: i for i, cell in enumerate(cells)}
+    edges = [(index[p, t], index[p + 1, t]) for p in range(2) for t in range(4)]
+    edges += [(index[p, 0], index[p, t]) for p in range(3) for t in range(1, 4)]
+    h = Graph(12, edges)
+    assert h.m == 17
+    assert not is_planar(h).planar
+    nx = pytest.importorskip("networkx")
+    planar, _ = nx.check_planarity(nx.Graph(edges))
+    assert not planar

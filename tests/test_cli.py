@@ -95,7 +95,7 @@ def test_classify_regularity_json(capsys):
     blob = json.loads(out)
     assert blob["regular"] is False and blob["case"] == "not-regular"
     w = blob["witness"]
-    assert set(w) == {"subset_a", "subset_b", "degree_a", "degree_b", "branch"}
+    assert set(w) == {"subset_a", "subset_b", "degree_a", "degree_b"}
 
 
 def test_classify_planarity_json(capsys):
