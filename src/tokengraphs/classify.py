@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .errors import (
     BadK,
@@ -34,10 +33,7 @@ from .errors import (
 )
 from .graphs import Graph, _bits, _iter_embeddings, path_graph
 from .planarity import token_planarity
-from .subsets import SubsetCodec
 from .tokens import token_degree
-
-SUBSTITUTION_VERIFY_LIMIT = 20000
 
 
 class RegularityCase(str, Enum):
@@ -162,25 +158,15 @@ def classify_regularity(g: Graph, k: int) -> RegularityVerdict:
     return RegularityVerdict(False, RegularityCase.NOT_REGULAR, k, witness)
 
 
-@dataclass(frozen=True)
-class Inconsistent:
-    """Counterexample to the uniform substitution degree."""
-
-    subset: tuple[int, ...]
-    vertex: int
-    observed: int
-    expected: Fraction
-
-
-def uniform_substitution_degree(
-    g: Graph, k: int, *, verify_limit: int = SUBSTITUTION_VERIFY_LIMIT
-):
+def uniform_substitution_degree(g: Graph, k: int) -> Fraction:
     """The constant c with |N(b) ∩ A| = c for all token vertices A and b ∉ A.
 
-    Defined when both g (degree r1) and F_k(g) (degree r2) are regular:
-    c = (r2 - k*r1) / (1 - k). The identity is re-verified pair by pair
-    whenever the token graph is small enough; a violation is returned as an
-    Inconsistent counterexample instead of the constant.
+    Defined when both g (degree r1) and F_k(g) (degree r2) are regular, where
+    c = (r2 - k*r1) / (1 - k). By `classify_regularity`, F_k(g) is regular
+    only for the complete graph, the edgeless graph, and (k = n/2) the star
+    and its complement; neither of the last two is regular for n >= 4. So
+    g is K_n, where every b outside A sees all k tokens (c = k), or the
+    edgeless graph (c = 0), and c is returned in that closed form.
     """
     n = g.n
     if not 2 <= k <= n - 2:
@@ -189,16 +175,7 @@ def uniform_substitution_degree(
         raise NotRegularInput("base graph is not regular")
     if not classify_regularity(g, k).regular:
         raise NotRegularInput("token graph is not regular")
-    r1 = g.degree(0)
-    r2 = token_degree(g, range(k))
-    c = Fraction(r2 - k * r1, 1 - k)
-    if comb(n, k) * (n - k) <= verify_limit:
-        for mask in SubsetCodec(n, k).masks():
-            for b in _bits(((1 << n) - 1) & ~mask):
-                observed = (g.adjacency_mask(b) & mask).bit_count()
-                if observed != c:
-                    return Inconsistent(tuple(_bits(mask)), b, observed, c)
-    return c
+    return Fraction(k if g.is_complete() else 0)
 
 
 @dataclass(frozen=True)

@@ -65,12 +65,13 @@ class Graph:
         self.m = sum(a.bit_count() for a in adj) // 2
 
     @classmethod
-    def _from_adj(cls, adj: list[int]) -> "Graph":
-        # Trusted fast path for internal ops: masks must already be symmetric.
+    def _from_adj(cls, adj: list[int], m: int | None = None) -> "Graph":
+        # Trusted fast path for internal ops: masks must already be symmetric,
+        # and m, when given, must be their edge count.
         g = object.__new__(cls)
         g.n = len(adj)
         g._adj = tuple(adj)
-        g.m = sum(a.bit_count() for a in adj) // 2
+        g.m = sum(a.bit_count() for a in adj) // 2 if m is None else m
         return g
 
     # -- basic queries -------------------------------------------------

@@ -1,9 +1,12 @@
 """Planarity testing.
 
 `is_planar` is the production path: reject the graph outright when it exceeds
-the 3n - 6 edge bound, otherwise run the left-right test (Brandes) on the
-whole graph, which walks one DFS tree per component. Both DFS passes are
-iterative because token graphs routinely reach several hundred vertices.
+the 3n - 6 edge bound, or when it is bipartite and exceeds 2n - 4, otherwise
+run the left-right test (Brandes) on the whole graph, which walks one DFS
+tree per component. Both DFS passes are iterative because token graphs
+routinely reach several hundred vertices. The bipartite bound matters for
+token graphs: F_k(g) is bipartite iff g is (Fabila-Monroy et al., Graphs
+Combin. 28, 2012).
 
 `token_planarity` is the one path from "is F_k(g) planar?" to a verdict: the
 token graph's closed-form edge count, then the paper's lemmas
@@ -35,10 +38,11 @@ ORACLE_MAX_N = 10
 class PlanarityVerdict:
     """Outcome plus which stage decided it.
 
-    method is "euler-bound" when the edge count alone rejected the graph
-    (m > 3n - 6, connected or not) and "left-right" when the LR test decided
-    it. `token_planarity` adds the stages that reject F_k(g) unbuilt:
-    "token-edge-bound" (its closed-form edge count) and a lemma's name.
+    method is "euler-bound" when the edge count rejected the graph
+    (m > 3n - 6, or m > 2n - 4 for a bipartite graph, connected or not) and
+    "left-right" when the LR test decided it. `token_planarity` adds the
+    stages that reject F_k(g) unbuilt: "token-edge-bound" (its closed-form
+    edge count) and a lemma's name.
     """
 
     planar: bool
@@ -273,9 +277,17 @@ class _LeftRight:
 
 
 def is_planar(g: Graph) -> PlanarityVerdict:
-    """Planarity of g, connected or not."""
-    # Every simple planar graph on n >= 3 vertices has m <= 3n - 6.
-    if g.n >= 3 and g.m > 3 * g.n - 6:
+    """Planarity of g, connected or not.
+
+    A simple planar graph on n >= 3 vertices has m <= 3n - 6, and a bipartite
+    one m <= 2n - 4 (Euler's formula with every face of length >= 4). Joining
+    the components by single edges keeps a graph planar and bipartite, so
+    both bounds hold for disconnected graphs too. Past either bound the
+    verdict is "euler-bound"; bipartiteness is tested only past 2n - 4.
+    Otherwise the left-right test decides.
+    """
+    n, m = g.n, g.m
+    if n >= 3 and (m > 3 * n - 6 or (m > 2 * n - 4 and g.is_bipartite())):
         return PlanarityVerdict(False, "euler-bound")
     return PlanarityVerdict(_LeftRight(g).run(), "left-right")
 
@@ -290,7 +302,8 @@ def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
     number of tokens on one side of g by exactly one. Past either bound the
     verdict is "token-edge-bound"; next, a lemma of `nonplanarity_by_minor`
     rejects under its own name; only then is F_k(g) built and tested by
-    `is_planar`. Raises BadK unless 1 <= k < n.
+    `is_planar`, whose bipartite bound never fires there: it is the bound
+    above, already applied. Raises BadK unless 1 <= k < n.
     """
     _check_k(g.n, k)
     v = comb(g.n, k)

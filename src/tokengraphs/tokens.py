@@ -9,9 +9,14 @@ check it again.
 
 The build never unranks. `SubsetCodec.masks` walks the subsets in colex
 order by Gosper's next-combination step, and one dict, kept in that order,
-maps each mask back to its rank. The row of a subset A is read off its cut
-edges: for each token on u and each free neighbour w of u, A - u + w is a
-neighbour. So a row costs its degree, not a pass over every edge of g.
+maps each mask back to its rank. Token edges are read off cut edges: for a
+token on u and a free neighbour w of u, A - u + w is a neighbour of A. Only
+w < u is taken, which makes A - u + w the lower end in colex order, so each
+token edge costs one dict lookup and sets a bit in both rows. The ranks are
+walked from the top down: a row first receives its highest bits (from the
+higher ends), so its int is sized once. The edge count is not summed from
+the rows: E = m * C(n-2, k-1), since each edge of g moves a token while
+k - 1 others sit on the remaining n - 2 vertices.
 
 Rows are bitmask ints of up to V bits, so a build can hold up to about V²/8
 bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The default vertex
@@ -21,6 +26,7 @@ budget of 10^5 keeps that near 1.2 GiB.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import BadK, BudgetExceeded
 from .graphs import Graph, _bits, _mask, complete_graph
@@ -61,8 +67,11 @@ def build_token_graph(
 ) -> TokenGraph:
     """Build the k-token graph of g.
 
-    Raises BadK unless 1 <= k < n, BudgetExceeded when C(n, k) would pass
-    `vertex_budget` (checked before anything is allocated).
+    One dict lookup per token edge, found from its higher end in colex order
+    with the ranks walked top down; the edge count is the closed form
+    m * C(n-2, k-1). Raises BadK unless 1 <= k < n, BudgetExceeded when
+    C(n, k) would pass `vertex_budget` (checked before anything is
+    allocated).
     """
     n = g.n
     _check_k(n, k)
@@ -75,21 +84,28 @@ def build_token_graph(
         )
     rank_of = {mask: r for r, mask in enumerate(codec.masks())}
     base_adj = g._adj
-    adj = []
-    for a in rank_of:
-        row = 0
+    adj = [0] * size
+    # Top-down, so every bit a row gets from a higher rank comes before its
+    # own lower bits: the row's int is sized by the first bit it receives.
+    for ra, a in zip(range(size - 1, -1, -1), reversed(rank_of)):
+        bit_a = 1 << ra
+        row = adj[ra]
         tokens = a
         while tokens:
             bu = tokens & -tokens
             tokens ^= bu
             others = a ^ bu
-            free = base_adj[bu.bit_length() - 1] & ~a
+            # w < u makes A - u + w lower in colex order: each edge once
+            free = base_adj[bu.bit_length() - 1] & ~a & (bu - 1)
             while free:
                 bw = free & -free
                 free ^= bw
-                row |= 1 << rank_of[others | bw]
-        adj.append(row)
-    return TokenGraph(base=g, k=k, graph=Graph._from_adj(adj), codec=codec)
+                rb = rank_of[others | bw]
+                row |= 1 << rb
+                adj[rb] |= bit_a
+        adj[ra] = row
+    m = g.m * comb(n - 2, k - 1)
+    return TokenGraph(base=g, k=k, graph=Graph._from_adj(adj, m), codec=codec)
 
 
 def token_degree(g: Graph, subset) -> int:

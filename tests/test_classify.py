@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-import tokengraphs.classify
 from tokengraphs import (
     BadK,
     Disconnected,
@@ -190,8 +189,31 @@ def test_substitution_degree_requires_regularity_on_both_sides():
         uniform_substitution_degree(complete_graph(6), 1)
 
 
-def test_substitution_degree_skips_verification_when_capped():
-    assert uniform_substitution_degree(complete_graph(6), 3, verify_limit=1) == 3
+def _substitution_walk(g, k):
+    """Every |N(b) ∩ A| over the k-subsets A and the vertices b outside A."""
+    seen = set()
+    for mask in SubsetCodec(g.n, k).masks():
+        for b in range(g.n):
+            if not mask >> b & 1:
+                seen.add((g.adjacency_mask(b) & mask).bit_count())
+    return seen
+
+
+def test_substitution_degree_matches_the_pair_walk():
+    """The closed form equals the constant read pair by pair on K_n and E_n,
+    and every other regular base is refused (its token graph is irregular)."""
+    for n in range(4, 9):
+        for g in (complete_graph(n), empty_graph(n)):
+            for k in range(2, n - 1):
+                assert _substitution_walk(g, k) == {uniform_substitution_degree(g, k)}
+    for n in range(4, 8):
+        for m in range(1, n * (n - 1) // 2):
+            for g in graph_classes(n, m):
+                if not g.is_regular():
+                    continue
+                for k in range(2, n - 1):
+                    with pytest.raises(NotRegularInput):
+                        uniform_substitution_degree(g, k)
 
 
 def test_scan_and_substitution_check_walk_the_masks(monkeypatch):
@@ -205,14 +227,6 @@ def test_scan_and_substitution_check_walk_the_masks(monkeypatch):
         (0, 2, 3, 4), (1, 2, 3, 4), 4, 2
     )
     assert uniform_substitution_degree(complete_graph(6), 3) == 3
-    # an expected constant that is off by a third fails at the first pair:
-    # rank 0 and the smallest vertex outside it
-    third = Fraction(1, 3)
-    monkeypatch.setattr(tokengraphs.classify, "Fraction", lambda a, b: Fraction(a, b) + third)
-    got = uniform_substitution_degree(complete_graph(6), 3)
-    assert (got.subset, got.vertex, got.observed, got.expected) == (
-        (0, 1, 2), 3, 3, Fraction(10, 3)
-    )
 
 
 def test_classify_planarity_structural_and_characterization():

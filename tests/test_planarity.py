@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import tokengraphs.planarity
 from tokengraphs import (
     BadK,
     Graph,
@@ -15,6 +16,7 @@ from tokengraphs import (
     cycle_graph,
     empty_graph,
     encode_graph6,
+    graph_classes,
     is_planar,
     octahedron_graph,
     path_graph,
@@ -64,7 +66,8 @@ def test_known_non_planar_graphs():
 
 def test_verdict_methods():
     assert is_planar(complete_graph(5)).method == "euler-bound"
-    assert is_planar(complete_bipartite_graph(3, 3)).method == "left-right"
+    # bipartite with m = 9 > 2n - 4 = 8: Euler's bound with faces of length >= 4
+    assert is_planar(complete_bipartite_graph(3, 3)).method == "euler-bound"
     assert is_planar(cycle_graph(5)).method == "left-right"
     two_parts = Graph(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
     v = is_planar(two_parts)
@@ -84,6 +87,72 @@ def test_dense_disconnected_graph_is_rejected_by_the_euler_bound(monkeypatch):
 
     monkeypatch.setattr(Graph, "connected_components", no_split)
     assert is_planar(g) == PlanarityVerdict(False, "euler-bound")
+
+
+def test_bipartite_bound_rejects_before_the_lr_test(monkeypatch):
+    def no_lr(self):
+        raise AssertionError("the bipartite bound must reject before the LR test")
+
+    monkeypatch.setattr(tokengraphs.planarity._LeftRight, "run", no_lr)
+    rejected = PlanarityVerdict(False, "euler-bound")
+    # the 4-cube: 32 edges > 2 * 16 - 4, but <= 3 * 16 - 6
+    q4 = Graph(16, [(v, v | 1 << i) for v in range(16) for i in range(4) if not v >> i & 1])
+    assert (q4.n, q4.m) == (16, 32)
+    assert is_planar(q4) == rejected
+    assert is_planar(complete_bipartite_graph(3, 4)) == rejected  # 12 > 10
+    # F_3 of any tree on 9 vertices: V = 84, E = 8 * C(7, 2) = 168 > 164
+    for t in (path_graph(9), star_graph(9)):
+        assert is_planar(build_token_graph(t, 3).graph) == rejected
+
+
+def test_bipartiteness_is_tested_only_inside_the_window(monkeypatch):
+    """Only 2n - 4 < m <= 3n - 6 (n >= 3) asks whether the graph is bipartite."""
+    graphs = [
+        g for n in range(1, 8) for m in range(n * (n - 1) // 2 + 1)
+        for g in graph_classes(n, m)
+    ]
+    outside = [g for g in graphs if g.n < 3 or not 2 * g.n - 4 < g.m <= 3 * g.n - 6]
+    expected = [is_planar(g) for g in outside]
+
+    def no_colouring(self):
+        raise AssertionError("is_bipartite outside 2n - 4 < m <= 3n - 6")
+
+    monkeypatch.setattr(Graph, "is_bipartite", no_colouring)
+    assert [is_planar(g) for g in outside] == expected
+    assert {v.method for v in expected} == {"euler-bound", "left-right"}
+    assert len(outside) < len(graphs)
+
+
+def test_random_bipartite_graphs_match_the_oracle():
+    rng = random.Random(44)
+    methods = Counter()
+    for _ in range(300):
+        a = rng.randint(1, 6)
+        b = rng.randint(1, 10 - a)
+        p = rng.uniform(0.3, 1.0)
+        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]
+        g = shuffled(rng, Graph(a + b, edges))
+        verdict = is_planar(g)
+        assert verdict.planar == planarity_oracle(g), encode_graph6(g)
+        methods[verdict.planar, verdict.method] += 1
+    assert methods[False, "euler-bound"] and methods[False, "left-right"]
+    assert methods[True, "left-right"]
+
+
+def test_tree_token_graphs_match_networkx():
+    nx = pytest.importorskip("networkx")
+    methods = Counter()
+    for t in _trees(10):
+        for k in (2, 3, 4):
+            h = build_token_graph(t, k).graph
+            verdict = is_planar(h)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(h.n))
+            ref.add_edges_from(h.edges())
+            assert verdict.planar == nx.check_planarity(ref)[0], (encode_graph6(t), k)
+            methods[k, verdict.method] += 1
+    # k = 2 stays under 2V - 4 (72 <= 86); k = 3, 4 are past it
+    assert set(methods) == {(2, "left-right"), (3, "euler-bound"), (4, "euler-bound")}
 
 
 def test_verdict_is_truthy():

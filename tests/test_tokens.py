@@ -38,6 +38,9 @@ def test_token_graph_matches_brute_force():
             subs, edges = brute_token_edges(g, k)
             tg = build_token_graph(g, k)
             assert tg.graph == Graph(len(subs), edges), (g.edges(), k)
+            # the closed-form edge count the build reports is the rows' count
+            rows = sum(r.bit_count() for r in tg.graph._adj)
+            assert tg.graph.m * 2 == rows and tg.graph.m == g.m * comb(n - 2, k - 1)
             # F_k(g) is connected iff g is; the build leaves this unchecked
             assert tg.graph.is_connected() == g.is_connected()
             # codec layout agrees with the oracle's colex enumeration
