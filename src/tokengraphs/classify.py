@@ -165,15 +165,15 @@ def uniform_substitution_degree(g: Graph, k: int) -> Fraction:
     c = (r2 - k*r1) / (1 - k). By `classify_regularity`, F_k(g) is regular
     only for the complete graph, the edgeless graph, and (k = n/2) the star
     and its complement; neither of the last two is regular for n >= 4. So
-    g is K_n, where every b outside A sees all k tokens (c = k), or the
-    edgeless graph (c = 0), and c is returned in that closed form.
+    g alone decides: it is K_n, where every b outside A sees all k tokens
+    (c = k), or the edgeless graph (c = 0), and c has that closed form.
     """
     n = g.n
     if not 2 <= k <= n - 2:
         raise BadK(f"substitution degree needs 2 <= k <= n-2, got k={k}, n={n}")
     if not g.is_regular():
         raise NotRegularInput("base graph is not regular")
-    if not classify_regularity(g, k).regular:
+    if not (g.is_complete() or g.is_empty_graph()):
         raise NotRegularInput("token graph is not regular")
     return Fraction(k if g.is_complete() else 0)
 

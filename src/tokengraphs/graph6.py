@@ -43,13 +43,20 @@ def encode_graph6(g: Graph) -> str:
 
 def decode_graph6(text: str | bytes) -> Graph:
     """Decode one graph6 line; raises MalformedGraph6 with a byte offset."""
+    header = b">>graph6<<"
     if isinstance(text, bytes):
         data = text
     else:
-        data = text.encode("ascii", "replace")
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            skip = len(header) if text.startswith(header.decode()) else 0
+            raise MalformedGraph6(
+                f"character {text[exc.start]!r} is not ASCII", exc.start - skip
+            ) from None
     data = data.rstrip(b"\r\n")
-    if data.startswith(b">>graph6<<"):
-        data = data[len(b">>graph6<<"):]
+    if data.startswith(header):
+        data = data[len(header):]
     if not data:
         raise MalformedGraph6("empty input", 0)
     for i, b in enumerate(data):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import IndexOutOfRange, SizeLimitExceeded
-from .graphs import _mask
+from .graphs import _bits, _mask
 
 CODEC_MAX_N = 64
 
@@ -93,8 +93,7 @@ class SubsetCodec:
         if len(members) != self.k:
             raise ValueError(f"expected a {self.k}-subset, got {members}")
         KSubset(members, self.n)  # raises on repeated or out-of-range members
-        cmb = self._comb
-        return sum(cmb[c][i + 1] for i, c in enumerate(members))
+        return self.rank_mask(_mask(members))
 
     def rank_mask(self, mask: int) -> int:
         """Colex rank of a subset given as a bitmask."""
@@ -109,18 +108,8 @@ class SubsetCodec:
         return total
 
     def unrank(self, r: int) -> KSubset:
-        if not 0 <= r < self.size:
-            raise IndexOutOfRange(f"rank {r} outside 0..{self.size - 1}")
-        cmb = self._comb
-        members = [0] * self.k
-        c = self.n
-        for i in range(self.k, 0, -1):
-            c -= 1
-            while cmb[c][i] > r:
-                c -= 1
-            members[i - 1] = c
-            r -= cmb[c][i]
-        return KSubset(tuple(members), self.n)
+        """The subset of colex rank r, as a KSubset (see `unrank_mask`)."""
+        return KSubset(tuple(_bits(self.unrank_mask(r))), self.n)
 
     def unrank_mask(self, r: int) -> int:
         if not 0 <= r < self.size:

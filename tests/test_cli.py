@@ -183,6 +183,12 @@ def test_non_ascii_input_is_an_input_error(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+def test_non_ascii_graph6_argument_is_an_input_error(capsys):
+    code, out, err = run(capsys, "planar", "--graph6", "B\u00e9")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_single_graph_commands_reject_several_graphs(tmp_path, monkeypatch, capsys):
     script = tmp_path / "ops.txt"
     script.write_text("de 0 1\n")

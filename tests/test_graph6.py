@@ -78,6 +78,14 @@ def test_malformed_error_carries_offset():
         raise AssertionError("decode accepted a bad byte")
 
 
+@pytest.mark.parametrize("text", ["B\u00e9", ">>graph6<<B\u00e9", "B\u2603"])
+def test_non_ascii_text_is_rejected(text):
+    """A non-ASCII character is not read as '?', which is valid graph6."""
+    with pytest.raises(MalformedGraph6) as info:
+        decode_graph6(text)
+    assert info.value.offset == 1
+
+
 def test_padding_bits_must_be_zero():
     # n = 3 has three edge bits; the trailing three bits must stay zero.
     g = decode_graph6("B" + chr(0b111000 + 63))

@@ -10,6 +10,8 @@ from tokengraphs import (
     DeleteVertex,
     Graph,
     InvalidScript,
+    LiftedScript,
+    LiftedStep,
     NoSuchVertex,
     NotAnEdge,
     apply_and_verify,
@@ -18,6 +20,7 @@ from tokengraphs import (
     build_token_graph,
     complete_graph,
     cycle_graph,
+    empty_graph,
     encode_graph6,
     format_script,
     lift_script,
@@ -149,7 +152,7 @@ def test_lifted_script_replays_on_the_token_graph():
         lifted = lift_script(g, k, (op,))
         replayed = apply_script(build_token_graph(g, k).graph, lifted.ops)
         rebuilt = build_token_graph(h, k).graph
-        assert are_isomorphic(replayed, rebuilt)
+        assert replayed == rebuilt
 
 
 def test_apply_and_verify_random_scripts():
@@ -180,6 +183,36 @@ def test_apply_and_verify_random_scripts():
         # the contraction identity: each surviving base edge spreads evenly
         assert build_token_graph(h, k).graph.m == comb(h.n - 2, k - 1) * h.m
     assert with_contraction >= 10
+
+
+def test_apply_and_verify_needs_no_canonical_labelling(monkeypatch):
+    """F_4(E_9) is E_126: equal rows decide at once, with no labelling search."""
+
+    def refuse(g):
+        raise AssertionError("canonical labelling was reached")
+
+    monkeypatch.setattr("tokengraphs.canon._search", refuse)
+    assert apply_and_verify(empty_graph(9), 4, (DeleteVertex(0),))
+
+
+def test_apply_and_verify_rejects_a_mislabelled_lift(monkeypatch):
+    """A lift that lands on an isomorphic but relabelled graph is wrong.
+
+    In F_2(K_4), {0,2} {1,2} {0,3} {1,3} are 1..4, so `de 0 1` lifts to
+    `de 1 2, de 3 4`; `de 1 3, de 2 4` deletes the swaps across edge 23
+    instead, which is F_2(K_4 - e) under other labels.
+    """
+    g, op = complete_graph(4), DeleteEdge(0, 1)
+    assert lift_script(g, 2, (op,)).ops == (DeleteEdge(1, 2), DeleteEdge(3, 4))
+    wrong = (DeleteEdge(1, 3), DeleteEdge(2, 4))
+    replayed = apply_script(build_token_graph(g, 2).graph, wrong)
+    rebuilt = build_token_graph(op.apply(g), 2).graph
+    assert are_isomorphic(replayed, rebuilt) and replayed != rebuilt
+    monkeypatch.setattr(
+        "tokengraphs.minors.lift_script",
+        lambda g, k, ops: LiftedScript(k, (LiftedStep(ops[0], wrong),)),
+    )
+    assert not apply_and_verify(g, 2, (op,))
 
 
 def test_lift_rejects_bad_k_and_overshrinking():
