@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded
 from .graph6 import encode_graph6
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _relabeled
 
 CANON_MAX_N = 1024
 
@@ -99,18 +99,9 @@ def _leaf_cert(adj, n: int, labels: list[int]) -> int:
     return cert
 
 
-def _is_automorphism(adj, n: int, perm) -> bool:
-    for v in range(n):
-        image = 0
-        for w in _bits(adj[v]):
-            image |= 1 << perm[w]
-        if image != adj[perm[v]]:
-            return False
-    return True
-
-
 class _Search:
     def __init__(self, g: Graph):
+        self.g = g
         self.n = g.n
         self.adj = g._adj
         self.first_invs: list | None = None
@@ -136,7 +127,7 @@ class _Search:
         perm = tuple(ref_vert[labels[v]] for v in range(self.n))
         if perm == self._identity or perm in self._gen_keys:
             return
-        if not _is_automorphism(self.adj, self.n, perm):
+        if _relabeled(self.g, perm)._adj != self.adj:
             raise RuntimeError("internal error: refinement produced a non-automorphism")
         self._gen_keys.add(perm)
         self.gens.append(perm)
@@ -269,16 +260,6 @@ def _search(g: Graph) -> _Search:
     except RecursionError:  # the search recurses once per individualised vertex
         raise SizeLimitExceeded(f"canonical labeling recursed too deep at n={g.n}") from None
     return search
-
-
-def _relabeled(g: Graph, perm) -> Graph:
-    adj = [0] * g.n
-    for v in range(g.n):
-        image = 0
-        for w in _bits(g._adj[v]):
-            image |= 1 << perm[w]
-        adj[perm[v]] = image
-    return Graph._from_adj(adj)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -123,7 +123,7 @@ def _cmd_lift(args) -> int:
     with open(args.script, "r", encoding="ascii") as fh:
         ops = parse_script(fh.read())
     lifted = lift_script(g, args.k, ops)
-    verified = apply_and_verify(g, args.k, ops)
+    verified = apply_and_verify(g, lifted)
     print(
         json.dumps(
             {

@@ -5,6 +5,9 @@ cut and common-neighbour queries are popcounts. Python ints grow as needed,
 which lets the same representation serve both the small base graphs and the
 much larger token graphs built on top of them. Graphs are immutable: every
 editing operation returns a new value, so instances can be shared freely.
+Each edit carries its edge count over in closed form (one more or one fewer
+edge, m - deg v for a vertex deletion, C(n, 2) - m for the complement), so
+no edit recounts the rows: on a token graph each row is thousands of bits.
 
 Relabeling rules (used by all shrinking operations): surviving vertices keep
 their relative order and are compacted downward; contracting an edge merges
@@ -150,7 +153,7 @@ class Graph:
         adj = list(self._adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph._from_adj(adj)
+        return Graph._from_adj(adj, self.m + 1)
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         u, v = normalize_edge(u, v)
@@ -161,7 +164,7 @@ class Graph:
         adj = list(self._adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        return Graph._from_adj(adj)
+        return Graph._from_adj(adj, self.m - 1)
 
     def delete_vertex(self, v: int) -> "Graph":
         self._check_vertex(v)
@@ -170,7 +173,7 @@ class Graph:
             for x in range(self.n)
             if x != v
         ]
-        return Graph._from_adj(adj)
+        return Graph._from_adj(adj, self.m - self._adj[v].bit_count())
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Contract the edge (u, v), merging both ends into min(u, v)."""
@@ -187,12 +190,14 @@ class Graph:
                 row = (row & ~(1 << v)) | (1 << u)
             row &= ~(1 << x)
             adj.append(_drop_bit(row, v))
-        return Graph._from_adj(adj)
+        # uv vanishes, and each common neighbour's two edges become one
+        common = (self._adj[u] & self._adj[v]).bit_count()
+        return Graph._from_adj(adj, self.m - 1 - common)
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         adj = [(~self._adj[v] & full) & ~(1 << v) for v in range(self.n)]
-        return Graph._from_adj(adj)
+        return Graph._from_adj(adj, self.n * (self.n - 1) // 2 - self.m)
 
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph induced on `vertices`, relabeled in ascending order."""
@@ -286,6 +291,17 @@ class Graph:
         if self.n < 2 or self.m != self.n - 1:
             return False
         return self.degree_multiset() == (1,) * (self.n - 1) + (self.n - 1,)
+
+
+def _relabeled(g: Graph, perm) -> Graph:
+    """Copy of g with vertex v renamed to perm[v], a permutation of 0..n-1."""
+    adj = [0] * g.n
+    for v in range(g.n):
+        image = 0
+        for w in _bits(g._adj[v]):
+            image |= 1 << perm[w]
+        adj[perm[v]] = image
+    return Graph._from_adj(adj, g.m)  # relabelling moves no edge
 
 
 # ---------------------------------------------------------------------------

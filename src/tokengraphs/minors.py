@@ -7,9 +7,10 @@ script into a token-graph script: deleting base vertex a deletes every token
 vertex whose subset contains a, deleting base edge ab deletes the matching
 token edges, and contracting ab contracts the perfect matching between the
 a-side and b-side tokens and then deletes the tokens containing both ends,
-which would have no counterpart afterwards. `apply_and_verify` checks the
-round trip: lifting then applying lands on the token graph of the edited
-base, equal label for label, as each label stays its subset's colex rank.
+which would have no counterpart afterwards. `apply_and_verify(g, lifted)`
+checks a lift it is given: replaying it lands on the token graph of the
+edited base, equal label for label, as each label stays its subset's colex
+rank.
 
 `nonplanarity_by_minor` collects the paper's lemmas that force a non-planar
 token graph without building it (a vertex of degree five, a long cycle, a
@@ -34,7 +35,7 @@ from .graphs import (
     star_graph,
 )
 from .subsets import SubsetCodec
-from .tokens import build_token_graph
+from .tokens import _check_k, build_token_graph
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,10 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
     in increasing mask order, since a contraction keeps the smaller mask of
     each matched pair and dropping a bit that no live mask holds keeps order;
     so sorting masks sorts their labels, and the a-side of a matched pair has
-    the smaller label.
+    the smaller label. Raises BadK unless 1 <= k < n holds both for g and
+    for the edited base.
     """
-    if not 1 <= k < g.n:
-        raise BadK(f"k={k} is outside 1..n-1 for n={g.n}")
+    _check_k(g.n, k)
     live = list(SubsetCodec(g.n, k).masks())
     bg = g
     steps = []
@@ -191,24 +192,26 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
             live = [_drop_bit(m, gone) for m in live]
         bg = op.apply(bg)
         steps.append(LiftedStep(base_op=op, ops=tuple(emitted)))
+    if bg.n <= k:
+        raise BadK(
+            f"script shrinks the base to n={bg.n}, "
+            f"outside the buildable range for k={k}"
+        )
     return LiftedScript(k=k, steps=tuple(steps))
 
 
-def apply_and_verify(g: Graph, k: int, ops) -> bool:
-    """Apply a script both ways and compare.
+def apply_and_verify(g: Graph, lifted: LiftedScript) -> bool:
+    """Check a lift of a script on g, as `lift_script` returns it.
 
-    Runs the base script on g, runs the lifted script on the token graph of
-    g, and reports whether the edited token graph is equal, label for label,
-    to the token graph of the edited base (an isomorphism test would also
-    pass a lift that mislabels).
+    Re-applies the base script (the steps' `base_op`s) to g, replays the
+    lifted operations on F_k(g), k = `lifted.k`, and reports whether the
+    edited token graph is equal, label for label, to the token graph of the
+    edited base (an isomorphism test would also pass a lift that
+    mislabels). It does not lift again, so the base side is checked
+    independently of the lift it is given.
     """
-    lifted = lift_script(g, k, ops)
-    edited_base = apply_script(g, ops)
-    if not 1 <= k < edited_base.n:
-        raise BadK(
-            f"script shrinks the base to n={edited_base.n}, "
-            f"outside the buildable range for k={k}"
-        )
+    k = lifted.k
+    edited_base = apply_script(g, [step.base_op for step in lifted.steps])
     edited_tokens = apply_script(build_token_graph(g, k).graph, lifted.ops)
     expected = build_token_graph(edited_base, k).graph
     return edited_tokens == expected

@@ -50,11 +50,6 @@ class KSubset:
         return iter(self.members)
 
 
-def complement_subset(s: KSubset) -> KSubset:
-    """The (n-k)-subset V minus s, over the same ground set."""
-    return s.complement()
-
-
 class SubsetCodec:
     """Bijective rank/unrank for the k-subsets of {0..n-1} in colex order."""
 

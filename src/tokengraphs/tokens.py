@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import BadK, BudgetExceeded
-from .graphs import Graph, _bits, _mask, complete_graph
+from .graphs import Graph, _bits, _relabeled, complete_graph
 from .subsets import KSubset, SubsetCodec
 
 DEFAULT_VERTEX_BUDGET = 10**5
@@ -112,8 +112,12 @@ def token_degree(g: Graph, subset) -> int:
     """Degree of the token vertex `subset` in F_k(g), without building it.
 
     This is the size of the edge cut between the subset and its complement.
+    `subset` is a KSubset or an iterable of distinct members of 0..n-1;
+    anything else raises ValueError, as `SubsetCodec.rank` does.
     """
-    amask = subset.mask if isinstance(subset, KSubset) else _mask(subset)
+    if not isinstance(subset, KSubset):
+        subset = KSubset(tuple(sorted(subset)), g.n)
+    amask = subset.mask
     total = 0
     mask = amask
     while mask:
@@ -153,10 +157,4 @@ def complement_isomorphism_check(g: Graph, k: int) -> bool:
     # map: rank r of a k-subset -> rank of its complement as an (n-k)-subset
     full = (1 << n) - 1
     to_co = [co.rank_mask(full ^ mask) for mask in fk.codec.masks()]
-    for r in range(fk.codec.size):
-        image = 0
-        for s in _bits(fk.graph._adj[r]):
-            image |= 1 << to_co[s]
-        if image != fnk.graph._adj[to_co[r]]:
-            return False
-    return True
+    return _relabeled(fk.graph, to_co) == fnk.graph

@@ -185,10 +185,11 @@ def test_criterion_7_script_lifting(capsys):
             continue
         done += 1
         with_contraction += any(isinstance(o, ContractEdge) for o in ops)
-        if not apply_and_verify(g, k, ops):
+        lifted = lift_script(g, k, ops)
+        if not apply_and_verify(g, lifted):
             problems.append(f"{encode_graph6(g)} k={k} {ops}")
         cur = g
-        for step in lift_script(g, k, ops).steps:
+        for step in lifted.steps:
             if isinstance(step.base_op, ContractEdge):
                 fanout = sum(isinstance(o, ContractEdge) for o in step.ops)
                 if fanout != comb(cur.n - 2, k - 1):

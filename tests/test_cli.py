@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tokengraphs import Graph, decode_graph6, encode_graph6, complete_graph, path_graph
+from tokengraphs import Graph, decode_graph6, encode_graph6, complete_graph, lift_script, path_graph
 from tokengraphs.cli import main
 
 
@@ -117,6 +117,31 @@ def test_lift_json(tmp_path, capsys):
     assert blob["script"] == ["dv 3", "de 0 1"]
     assert [s["op"] for s in blob["steps"]] == ["dv 3", "de 0 1"]
     assert blob["steps"][0]["lifted"] == ["dv 5", "dv 4", "dv 3"]
+
+
+def test_lift_lifts_the_script_once(tmp_path, monkeypatch, capsys):
+    """The printed lift is the one verified: `lift_script` runs once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift_script(*args)
+
+    for where in ("tokengraphs.cli.lift_script", "tokengraphs.minors.lift_script"):
+        monkeypatch.setattr(where, counted)
+    script = tmp_path / "ops.txt"
+    script.write_text("dv 0\n")
+    code, out, _ = run(capsys, "lift", "-k", "2", "--graph6", "C~", "--script", str(script))
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert len(calls) == 1
+
+
+def test_lift_rejects_a_script_that_shrinks_the_base_too_far(tmp_path, capsys):
+    script = tmp_path / "ops.txt"
+    script.write_text("dv 0\ndv 0\n")
+    code, out, err = run(capsys, "lift", "-k", "2", "--graph6", "C~", "--script", str(script))
+    assert code == 2 and out == ""
+    assert err == "error: script shrinks the base to n=2, outside the buildable range for k=2\n"
 
 
 def test_search_writes_report(tmp_path, capsys):

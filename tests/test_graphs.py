@@ -19,9 +19,14 @@ from tokengraphs import (
     petersen_graph,
     star_graph,
 )
-from tokengraphs.graphs import normalize_edge
+from tokengraphs.graphs import _relabeled, normalize_edge
 
-from util import random_connected_graph, random_graph, random_tree
+from util import random_connected_graph, random_graph, random_tree, relabeled
+
+
+def assert_counted(g):
+    """An edit's edge count matches its rows (`Graph.__eq__` ignores m)."""
+    assert g.m == sum(g.degrees()) // 2
 
 
 def test_basic_accessors():
@@ -61,10 +66,12 @@ def test_with_edge_and_delete_edge():
     g = path_graph(3)
     g2 = g.with_edge(0, 2)
     assert g2.is_cycle_graph()
+    assert_counted(g2)
     assert g.m == 2  # original untouched
     with pytest.raises(NotAnEdge):
         g2.with_edge(2, 0)
     assert g2.delete_edge(0, 2) == g
+    assert_counted(g2.delete_edge(0, 2))
     with pytest.raises(NotAnEdge):
         g.delete_edge(0, 2)
 
@@ -75,6 +82,8 @@ def test_delete_vertex_relabels_downward():
     # survivors 0,1,3,4 become 0,1,2,3
     assert h.n == 4
     assert h.edges() == [(0, 1), (1, 3), (2, 3)]
+    for v in range(g.n):
+        assert_counted(g.delete_vertex(v))
 
 
 def test_contract_edge_against_set_model():
@@ -97,6 +106,7 @@ def test_contract_edge_against_set_model():
         got = g.contract_edge(u, v)
         assert got.n == n - 1
         assert set(got.edges()) == want
+        assert_counted(got)
 
 
 def test_contract_requires_edge():
@@ -111,6 +121,18 @@ def test_complement_involution_and_size():
         gc = g.complement()
         assert gc.complement() == g
         assert g.m + gc.m == g.n * (g.n - 1) // 2
+        assert_counted(gc)
+
+
+def test_relabeled_keeps_the_edge_count():
+    rng = random.Random(8)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 9), 0.4)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = _relabeled(g, perm)
+        assert h == relabeled(g, perm)
+        assert_counted(h)
 
 
 def test_induced_subgraph():

@@ -179,7 +179,7 @@ def test_apply_and_verify_random_scripts():
             continue
         done += 1
         with_contraction += any(isinstance(o, ContractEdge) for o in ops)
-        assert apply_and_verify(g, k, ops)
+        assert apply_and_verify(g, lift_script(g, k, ops))
         # the contraction identity: each surviving base edge spreads evenly
         assert build_token_graph(h, k).graph.m == comb(h.n - 2, k - 1) * h.m
     assert with_contraction >= 10
@@ -192,10 +192,11 @@ def test_apply_and_verify_needs_no_canonical_labelling(monkeypatch):
         raise AssertionError("canonical labelling was reached")
 
     monkeypatch.setattr("tokengraphs.canon._search", refuse)
-    assert apply_and_verify(empty_graph(9), 4, (DeleteVertex(0),))
+    g = empty_graph(9)
+    assert apply_and_verify(g, lift_script(g, 4, (DeleteVertex(0),)))
 
 
-def test_apply_and_verify_rejects_a_mislabelled_lift(monkeypatch):
+def test_apply_and_verify_rejects_a_mislabelled_lift():
     """A lift that lands on an isomorphic but relabelled graph is wrong.
 
     In F_2(K_4), {0,2} {1,2} {0,3} {1,3} are 1..4, so `de 0 1` lifts to
@@ -208,11 +209,7 @@ def test_apply_and_verify_rejects_a_mislabelled_lift(monkeypatch):
     replayed = apply_script(build_token_graph(g, 2).graph, wrong)
     rebuilt = build_token_graph(op.apply(g), 2).graph
     assert are_isomorphic(replayed, rebuilt) and replayed != rebuilt
-    monkeypatch.setattr(
-        "tokengraphs.minors.lift_script",
-        lambda g, k, ops: LiftedScript(k, (LiftedStep(ops[0], wrong),)),
-    )
-    assert not apply_and_verify(g, 2, (op,))
+    assert not apply_and_verify(g, LiftedScript(2, (LiftedStep(op, wrong),)))
 
 
 def test_lift_rejects_bad_k_and_overshrinking():
@@ -221,9 +218,9 @@ def test_lift_rejects_bad_k_and_overshrinking():
         lift_script(g, 4, (DeleteVertex(0),))
     with pytest.raises(BadK):
         lift_script(g, 0, (DeleteVertex(0),))
-    with pytest.raises(BadK):
-        # two deletions leave n = 2 = k: F_k of the result is a point
-        apply_and_verify(g, 2, (DeleteVertex(0), DeleteVertex(0)))
+    # two deletions leave n = 2 = k: F_k of the result is a point
+    with pytest.raises(BadK, match="script shrinks the base to n=2"):
+        lift_script(g, 2, (DeleteVertex(0), DeleteVertex(0)))
 
 
 def test_nonplanarity_certificates_are_sound():

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from tokengraphs import IndexOutOfRange, KSubset, SizeLimitExceeded, SubsetCodec, complement_subset
+from tokengraphs import IndexOutOfRange, KSubset, SizeLimitExceeded, SubsetCodec
 
 
 def colex_sorted(n, k):
@@ -95,6 +95,6 @@ def test_complement_subset_reverses_colex_order():
             cocodec = SubsetCodec(n, n - k)
             for r in range(codec.size):
                 s = codec.unrank(r)
-                t = complement_subset(s)
+                t = s.complement()
                 assert set(t.members) == set(range(n)) - set(s.members)
                 assert cocodec.rank(t) == codec.size - 1 - r

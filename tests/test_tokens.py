@@ -164,6 +164,13 @@ def test_token_degree_is_the_cut_size():
             assert token_degree(g, s.members) == tg.graph.degree(r)
 
 
+@pytest.mark.parametrize("members", [[0, 0], [7], [-1], [1, 5]])
+def test_token_degree_rejects_invalid_subsets(members):
+    """Repeated or out-of-range members are not a subset of 0..n-1."""
+    with pytest.raises(ValueError):
+        token_degree(cycle_graph(5), members)
+
+
 def test_vertex_labels():
     tg = build_token_graph(path_graph(4), 2)
     assert tg.vertex_labels() == [
