@@ -31,7 +31,7 @@ from .errors import (
     NotRegularInput,
     TokenGraphError,
 )
-from .graphs import Graph, _bits, _iter_embeddings, path_graph
+from .graphs import Graph, _bits, _iter_embeddings, _pattern_order, path_graph
 from .planarity import token_planarity
 from .tokens import token_degree
 
@@ -237,9 +237,8 @@ def residual_degree_obstruction(g: Graph, k: int) -> bool:
     n = g.n
     if not 2 <= k <= n - 2:
         raise BadK(f"the residual check needs 2 <= k <= n-2, got k={k}, n={n}")
-    pattern = path_graph(3)
     saw_p3 = False
-    for mask in _iter_embeddings(g, pattern):
+    for mask in _iter_embeddings(g, _pattern_order(path_graph(3))):
         saw_p3 = True
         keep = [x for x in range(n) if not (mask >> x) & 1]
         h = g.induced_subgraph(keep)

@@ -413,8 +413,12 @@ def _check_pattern(pattern: Graph) -> None:
         raise UnsupportedPattern("pattern containment needs a non-empty connected pattern")
 
 
-def _pattern_order(pattern: Graph) -> tuple[list[int], list[list[int]]]:
-    """BFS order of the (connected) pattern plus earlier-neighbour lists."""
+def _pattern_order(pattern: Graph) -> tuple[list[list[int]], list[int]]:
+    """The placement plan of a connected pattern for `_iter_embeddings`.
+
+    For each pattern vertex in BFS order: the positions of its neighbours
+    placed before it, and its degree.
+    """
     order = [0]
     seen = {0}
     i = 0
@@ -429,18 +433,19 @@ def _pattern_order(pattern: Graph) -> tuple[list[int], list[list[int]]]:
         [pos[w] for w in pattern.neighbors(v) if pos[w] < i]
         for i, v in enumerate(order)
     ]
-    return order, earlier
+    return earlier, [pattern.degree(v) for v in order]
 
 
-def _iter_embeddings(g: Graph, pattern: Graph, banned: int = 0):
-    """Yield vertex bitmasks of subgraph embeddings of `pattern` in `g`.
+def _iter_embeddings(g: Graph, plan: tuple[list[list[int]], list[int]], banned: int = 0):
+    """Yield vertex bitmasks of subgraph embeddings of a pattern in `g`.
 
-    Non-induced: pattern edges must map to edges, extra edges are fine.
-    Distinct assignments mapping onto the same vertex set are deduplicated.
+    `plan` is `_pattern_order(pattern)`, so a caller that places one pattern
+    many times plans it once. Non-induced: pattern edges must map to edges,
+    extra edges are fine. Distinct assignments mapping onto the same vertex
+    set are deduplicated.
     """
-    order, earlier = _pattern_order(pattern)
-    p = len(order)
-    pdeg = [pattern.degree(v) for v in order]
+    earlier, pdeg = plan
+    p = len(pdeg)
     avail0 = ((1 << g.n) - 1) & ~banned
     seen_masks = set()
     assigned = [0] * p  # bit of the g-vertex assigned to order position i
@@ -470,7 +475,7 @@ def _iter_embeddings(g: Graph, pattern: Graph, banned: int = 0):
 def has_subgraph(g: Graph, pattern: Graph, banned: int = 0) -> bool:
     """True iff `g` contains `pattern` as a (not necessarily induced) subgraph."""
     _check_pattern(pattern)
-    return next(_iter_embeddings(g, pattern, banned), None) is not None
+    return next(_iter_embeddings(g, _pattern_order(pattern), banned), None) is not None
 
 
 def contains_disjoint(g: Graph, pattern_a: Graph, pattern_b: Graph) -> bool:
@@ -480,7 +485,8 @@ def contains_disjoint(g: Graph, pattern_a: Graph, pattern_b: Graph) -> bool:
     # Place the larger pattern first: fewer embeddings to sweep.
     if pattern_a.n < pattern_b.n:
         pattern_a, pattern_b = pattern_b, pattern_a
-    for used in _iter_embeddings(g, pattern_a):
-        if next(_iter_embeddings(g, pattern_b, banned=used), None) is not None:
+    plan_b = _pattern_order(pattern_b)
+    for used in _iter_embeddings(g, _pattern_order(pattern_a)):
+        if next(_iter_embeddings(g, plan_b, banned=used), None) is not None:
             return True
     return False

@@ -217,6 +217,12 @@ def apply_and_verify(g: Graph, lifted: LiftedScript) -> bool:
     return edited_tokens == expected
 
 
+# the lemma patterns; a Graph is immutable, so one copy serves every call
+_P3 = path_graph(3)
+_K13 = star_graph(4)
+_P7 = path_graph(7)
+
+
 def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
     """Name a lemma of the paper that forces F_k(g) to be non-planar, if any.
 
@@ -232,8 +238,8 @@ def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
         return "max-degree-5"
     if has_cycle_of_length_at_least(g, 5):
         return "cycle-5"
-    if contains_disjoint(g, path_graph(3), star_graph(4)):
+    if contains_disjoint(g, _P3, _K13):
         return "disjoint-p3-k13"
-    if 3 <= k <= n - 3 and has_subgraph(g, path_graph(7)):
+    if 3 <= k <= n - 3 and has_subgraph(g, _P7):
         return "p7-inner-k"
     return None

@@ -8,14 +8,15 @@ pre-test of `geng`) accepts a child H = G + e only if no deletable edge of H
 has a larger invariant (larger end degree, smaller end degree, common
 neighbours) than e; only accepted children are labelled. In
 `graph_classes(n, m)`, which grows from the empty graph on n vertices, every
-edge is deletable. The search starts from the trees on n vertices, grown one
-leaf at a time from a single vertex and deduplicated by `_tree_key`, a
-canonical form for trees that needs no general labelling, and grows every
-later level from the one before; there an edge is deletable iff it is not a
-bridge, so that deleting it leaves a connected graph of the previous level.
-No class is lost: delete from H a deletable edge of maximum invariant; the
-previous level holds the class of the result, and its representative plus
-the image of that edge is a copy of H that passes the test.
+edge is deletable. The search starts from the trees on n vertices, which
+`_trees` generates directly, one per class, as the canonical level sequences
+of the trees rooted at a centre (Wright, Richmond, Odlyzko & McKay, 1986),
+with no labelling and no smaller order; it grows every later level from the
+one before, and there an edge is deletable iff it is not a bridge, so that
+deleting it leaves a connected graph of the previous level. No class is
+lost: delete from H a deletable edge of maximum invariant; the previous
+level holds the class of the result, and its representative plus the image
+of that edge is a copy of H that passes the test.
 
 The search walks m upward from n-1 per order n, keeps the graphs whose
 k-token graphs are planar (`token_planarity`, which rejects by the token
@@ -28,11 +29,12 @@ which level they grow from: "pruned" mode (the default) grows from the
 previous level's survivors, "verbatim" mode from the whole previous level,
 which cross-checks the pruning. "file" mode reads each level from a graph6
 stream instead of growing it; each level there must be complete, as
-`geng -c` writes it. One search grows its trees and decodes its graph6
-stream only once.
+`geng -c` writes it. One search generates the trees of each order and
+decodes its graph6 stream only once.
 
-`GENERATOR_MAX_N` caps the trees, `graph_classes` and verbatim mode; it
-guards tree growth, which the budget cannot interrupt. For 11 <= n <= 14 a
+`GENERATOR_MAX_N` caps the trees, `graph_classes` and verbatim mode; the
+budget is checked only between levels, so the cap bounds the tree level
+(3,159 trees at n = 14), which no budget can cut short. For 11 <= n <= 14 a
 pruned search stays near the trees: k = 2 keeps only the path and stops at
 m = n, and k >= 3 stops at the trees.
 """
@@ -42,12 +44,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 
 from .canon import canonical_graph6
 from .errors import BadK, SizeLimitExceeded, TokenGraphError
 from .graph6 import iter_graph6
-from .graphs import Graph, _bits, _mask, empty_graph
+from .graphs import Graph, _bits, empty_graph
 from .planarity import token_planarity
 
 GENERATOR_MAX_N = 14
@@ -127,45 +129,78 @@ def _grow(level, connected: bool) -> list[Graph]:
     return _dedup(_accepted_children(level, connected), canonical_graph6)
 
 
-def _tree_key(t: Graph) -> str:
-    """Canonical string of a tree (Aho, Hopcroft & Ullman 1974, section 3.2).
-
-    Strip all leaves at once until the one or two centres remain, then encode
-    the tree rooted at a centre as nested parentheses, each vertex's child
-    encodings sorted; two trees are isomorphic iff their minima over the
-    centres agree.
-    """
-    adj = t._adj
-    core = (1 << t.n) - 1
-    while core.bit_count() > 2:
-        core &= ~_mask(v for v in _bits(core) if (adj[v] & core).bit_count() == 1)
-
-    def rooted(v: int, parent: int) -> str:
-        children = sorted(rooted(w, v) for w in _bits(adj[v]) if w != parent)
-        return "(" + "".join(children) + ")"
-
-    return min(rooted(c, -1) for c in _bits(core))
-
-
-def _tree_levels():
-    """The trees of order 1, 2, 3, ..., one per class, each grown leaf by leaf from the last."""
-    level = [Graph(1)]
-    while True:
-        yield level
-        size = level[0].n + 1
-        level = _dedup(
-            (
-                Graph(size, t.edges() + [(v, size - 1)])
-                for t in level
-                for v in range(size - 1)
-            ),
-            _tree_key,
-        )
-
-
 def _trees(n: int) -> list[Graph]:
-    """One tree per isomorphism class on n >= 1 vertices."""
-    return next(islice(_tree_levels(), n - 1, None))
+    """One tree per isomorphism class on n >= 1 vertices, generated directly.
+
+    A tree rooted at a centre is written as its canonical level sequence: the
+    depths of its vertices in preorder, with every vertex's subtrees in
+    decreasing order (Beyer & Hedetniemi, "Constant time generation of rooted
+    trees", SIAM J. Comput. 9, 1980). The sequences are walked downward in
+    lexicographic order from the path rooted at its centre to the star, and
+    a sequence is kept iff its root is a centre: the first subtree of the
+    root (the "left" one) is no taller than the rest of the tree, and when a
+    tree has two centres, the left part is not the larger of the two halves
+    (by size, then by sequence). Where a sequence fails, the walk jumps past
+    every sequence with the same left subtree (Wright, Richmond, Odlyzko &
+    McKay, "Constant time generation of free trees", SIAM J. Comput. 15,
+    1986), so each class comes out once, with no key and no smaller order.
+    """
+    if n <= 2:
+        return [Graph(n, [(0, 1)] if n == 2 else [])]
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    trees = []
+    while True:
+        split = _second_root_child(levels)
+        left = [d - 1 for d in levels[1:split]]
+        rest = [0] + levels[split:]
+        taller = max(left) - max(rest)
+        if taller < 0 or (taller == 0 and (len(left), left) <= (len(rest), rest)):
+            trees.append(_level_tree(levels))
+            p = max((i for i in range(n) if levels[i] > 1), default=0)
+            if p == 0:
+                return trees  # the star is the last sequence
+            _next_rooted(levels, p)
+        else:
+            p = split - 1  # the left subtree's last vertex
+            deep = levels[p] > 2
+            _next_rooted(levels, p)
+            if deep:
+                # the copied tail stayed inside the left subtree, leaving the
+                # rest empty: end the sequence with a path from the root as
+                # deep as the left subtree reaches, so the rest is tall enough
+                height = max(levels[1:_second_root_child(levels)])
+                levels[n - height:] = range(1, height + 1)
+
+
+def _second_root_child(levels: list[int]) -> int:
+    """Where the root's second subtree starts in a level sequence, or its length if nowhere."""
+    return next((i for i in range(2, len(levels)) if levels[i] == 1), len(levels))
+
+
+def _next_rooted(levels: list[int], p: int) -> None:
+    """The Beyer-Hedetniemi successor, in place.
+
+    Vertex p moves up beside its parent q, and copies of q's subtree (now
+    without p) fill every later position.
+    """
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+
+
+def _level_tree(levels: list[int]) -> Graph:
+    """The tree of a level sequence: each vertex hangs from the last earlier vertex one level up."""
+    adj = [0] * len(levels)
+    last = [0] * len(levels)  # last[d]: the latest vertex seen at depth d
+    for v in range(1, len(levels)):
+        d = levels[v]
+        u = last[d - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        last[d] = v
+    return Graph._from_adj(adj, len(levels) - 1)
 
 
 _LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {}
@@ -331,10 +366,9 @@ def edge_maximal_search(
     maximal: list[str] = []
     stopped_at: dict[int, int] = {}
     partial = False
-    trees = _tree_levels()  # advanced up the ascending orders, never restarted
     levels = None if from_file is None else _read_levels(from_file, set(ns))
     for n in ns:
-        partial = _search_order(n, k, mode, trees, levels, deadline, entries, maximal, stopped_at)
+        partial = _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at)
         if partial:
             break
     return SearchReport(
@@ -348,7 +382,7 @@ def edge_maximal_search(
     )
 
 
-def _search_order(n, k, mode, trees, levels, deadline, entries, maximal, stopped_at) -> bool:
+def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) -> bool:
     """One order, level by level from m = n-1. Returns True when the budget ran out.
 
     Survivors are reported maximal once the next level is tested; a budget
@@ -362,7 +396,7 @@ def _search_order(n, k, mode, trees, levels, deadline, entries, maximal, stopped
         if mode == "file":
             level = _dedup(levels.get((n, m), ()), canonical_graph6)
         elif m == n - 1:
-            level = next(t for t in trees if t[0].n == n)
+            level = _trees(n)
         else:
             level = _grow(level, connected=True)
         survivors = [g for g in level if token_planarity(g, k).planar]

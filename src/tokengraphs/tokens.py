@@ -112,11 +112,14 @@ def token_degree(g: Graph, subset) -> int:
     """Degree of the token vertex `subset` in F_k(g), without building it.
 
     This is the size of the edge cut between the subset and its complement.
-    `subset` is a KSubset or an iterable of distinct members of 0..n-1;
-    anything else raises ValueError, as `SubsetCodec.rank` does.
+    `subset` is a KSubset over the ground set 0..n-1 or an iterable of
+    distinct members of it; anything else raises ValueError, as
+    `SubsetCodec.rank` does.
     """
     if not isinstance(subset, KSubset):
         subset = KSubset(tuple(sorted(subset)), g.n)
+    elif subset.n != g.n:
+        raise ValueError(f"subset over 0..{subset.n - 1} for a graph on {g.n} vertices")
     amask = subset.mask
     total = 0
     mask = amask

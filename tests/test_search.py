@@ -26,16 +26,17 @@ from tokengraphs import (
     path_graph,
     verify_maximality,
 )
-from tokengraphs.search import _grow, _tree_key, _trees
+from tokengraphs.search import _grow, _trees
 
-from util import random_tree, shuffled
+from util import shuffled
 
 # published counts of isomorphism classes of simple graphs (OEIS A000088, A001349)
 TOTAL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 # OEIS A000055: unlabelled trees on n vertices
 TREES = {
-    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
+    13: 1301, 14: 3159,
 }
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,7 +91,8 @@ def test_trees_match_published_counts():
 
 
 def test_trees_agree_with_canonical_form_growth():
-    """The tree key keeps the same classes as deduplicating by canonical_graph6."""
+    """The generated trees are the classes that leaf-by-leaf growth deduplicated
+    by canonical_graph6 reaches."""
     level = {canonical_graph6(Graph(1)): Graph(1)}
     for n in range(1, 11):
         if n > 1:
@@ -172,18 +174,6 @@ def test_search_labels_only_connected_graphs(monkeypatch, tmp_path):
     edge_maximal_search(2, range(5, 7), from_file=levels)
 
 
-def test_tree_key_is_a_relabelling_invariant():
-    rng = random.Random(5)
-    for _ in range(200):
-        t = random_tree(rng, rng.randint(1, 14))
-        assert _tree_key(shuffled(rng, t)) == _tree_key(t)
-    # two trees on 7 vertices with the same degree sequence
-    spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    broom = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (5, 6)])
-    assert spider.degree_multiset() == broom.degree_multiset()
-    assert _tree_key(spider) != _tree_key(broom)
-
-
 def test_dense_levels_use_complements():
     lo = graph_classes(6, 2)
     hi = graph_classes(6, 13)
@@ -253,11 +243,22 @@ def test_k2_census_builds_only_what_no_lemma_rejects(monkeypatch, prune, orders,
 
 
 def test_k2_census_past_ten_keeps_only_the_paths():
-    """For 11 <= n <= 13 only P_n has a planar F_2, and its one-edge extensions do not."""
-    report = edge_maximal_search(2, range(11, 14))
-    assert report.maximal == ("J??PE?gS?W?", "K??@E?gS?WA_", "L???HB?IA_@OD?")
-    assert report.maximal == tuple(canonical_graph6(path_graph(n)) for n in range(11, 14))
-    assert report.stopped_at == {11: 11, 12: 12, 13: 13}
+    """For 11 <= n <= 14 only P_n has a planar F_2, and its one-edge extensions do not."""
+    report = edge_maximal_search(2, range(11, 15))
+    assert report.maximal == (
+        "J??PE?gS?W?", "K??@E?gS?WA_", "L???HB?IA_@OD?", "M???@B?IA_@OD?@_?"
+    )
+    assert report.maximal == tuple(canonical_graph6(path_graph(n)) for n in range(11, 15))
+    assert report.stopped_at == {n: n for n in range(11, 15)}
+    assert not report.partial
+
+
+def test_k3_census_past_ten_stops_at_the_trees():
+    """For 11 <= n <= 14 no tree has a planar F_3, so no graph is maximal."""
+    report = edge_maximal_search(3, range(11, 15))
+    assert report.maximal == ()
+    assert report.stopped_at == {n: n - 1 for n in range(11, 15)}
+    assert [e.generated for e in report.entries] == [TREES[n] for n in range(11, 15)]
     assert not report.partial
 
 
@@ -399,18 +400,15 @@ def test_file_mode_reads_its_stream_once(tmp_path, monkeypatch):
 
 def test_search_grows_the_trees_once(monkeypatch):
     calls = []
-    key = tokengraphs.search._tree_key
+    trees = tokengraphs.search._trees
 
-    def counting(t):
-        calls.append(t.n)
-        return key(t)
+    def counting(n):
+        calls.append(n)
+        return trees(n)
 
-    monkeypatch.setattr(tokengraphs.search, "_tree_key", counting)
-    _trees(10)
-    alone = len(calls)
-    calls.clear()
+    monkeypatch.setattr(tokengraphs.search, "_trees", counting)
     report = edge_maximal_search(2, range(5, 11))
-    assert len(calls) == alone
+    assert calls == list(range(5, 11))
     assert [e.generated for e in report.entries if e.m == e.n - 1] == [
         TREES[n] for n in range(5, 11)
     ]

@@ -8,6 +8,7 @@ from tokengraphs import (
     BadK,
     BudgetExceeded,
     Graph,
+    KSubset,
     SubsetCodec,
     build_token_graph,
     complement_isomorphism_check,
@@ -164,9 +165,12 @@ def test_token_degree_is_the_cut_size():
             assert token_degree(g, s.members) == tg.graph.degree(r)
 
 
-@pytest.mark.parametrize("members", [[0, 0], [7], [-1], [1, 5]])
+@pytest.mark.parametrize(
+    "members", [[0, 0], [7], [-1], [1, 5], KSubset((7,), 10), KSubset((2,), 4)]
+)
 def test_token_degree_rejects_invalid_subsets(members):
-    """Repeated or out-of-range members are not a subset of 0..n-1."""
+    """Repeated or out-of-range members, or a KSubset over another ground set,
+    are not a subset of 0..n-1."""
     with pytest.raises(ValueError):
         token_degree(cycle_graph(5), members)
 
