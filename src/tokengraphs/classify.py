@@ -24,16 +24,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
-    BadK,
     Disconnected,
     NoP3Found,
     NotAnEdge,
     NotRegularInput,
     TokenGraphError,
 )
-from .graphs import Graph, _bits, _iter_embeddings, _pattern_order, path_graph
+from .graphs import Graph, _bits, _has_planned, _iter_embeddings
+from .minors import _P3_PLAN
 from .planarity import token_planarity
-from .tokens import token_degree
+from .tokens import _check_interior_k, token_degree
 
 
 class RegularityCase(str, Enum):
@@ -136,8 +136,7 @@ def _swap_witness(g: Graph, k: int) -> RegularityWitness | None:
 def classify_regularity(g: Graph, k: int) -> RegularityVerdict:
     """Regularity of F_k(g) by structure of g alone (witnessed when false)."""
     n = g.n
-    if not 2 <= k <= n - 2:
-        raise BadK(f"regularity classification needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_interior_k(n, k, "regularity classification")
     if g.is_complete():
         return RegularityVerdict(True, RegularityCase.COMPLETE, k, None)
     if g.is_empty_graph():
@@ -169,8 +168,7 @@ def uniform_substitution_degree(g: Graph, k: int) -> Fraction:
     (c = k), or the edgeless graph (c = 0), and c has that closed form.
     """
     n = g.n
-    if not 2 <= k <= n - 2:
-        raise BadK(f"substitution degree needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_interior_k(n, k, "substitution degree")
     if not g.is_regular():
         raise NotRegularInput("base graph is not regular")
     if not (g.is_complete() or g.is_empty_graph()):
@@ -201,8 +199,7 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
     that, the verdict is `token_planarity`'s, with its stage as reason.
     """
     n = g.n
-    if not 2 <= k <= n - 2:
-        raise BadK(f"planarity classification needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_interior_k(n, k, "planarity classification")
     if not g.is_connected():
         raise Disconnected("planarity classification is defined for connected graphs")
     if n > 10:
@@ -235,11 +232,10 @@ def residual_degree_obstruction(g: Graph, k: int) -> bool:
     three vertices joined to all of P_3 × {T}: a K_{3,3} minor. So F_k(g) is non-planar.
     """
     n = g.n
-    if not 2 <= k <= n - 2:
-        raise BadK(f"the residual check needs 2 <= k <= n-2, got k={k}, n={n}")
-    saw_p3 = False
-    for mask in _iter_embeddings(g, _pattern_order(path_graph(3))):
-        saw_p3 = True
+    _check_interior_k(n, k, "the residual check")
+    if not _has_planned(g, _P3_PLAN):
+        raise NoP3Found("the graph has no path on three vertices")
+    for mask in _iter_embeddings(g, _P3_PLAN):
         keep = [x for x in range(n) if not (mask >> x) & 1]
         h = g.induced_subgraph(keep)
         for j in (k - 1, k - 2):
@@ -250,6 +246,4 @@ def residual_degree_obstruction(g: Graph, k: int) -> bool:
                 for members in combinations(range(h.n), j)
             ):
                 return True
-    if not saw_p3:
-        raise NoP3Found("the graph has no path on three vertices")
     return False

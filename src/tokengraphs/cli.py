@@ -2,13 +2,16 @@
 
 Every subcommand emits machine-readable output (JSON unless stated). Exit
 codes: 0 on success, 1 when a single-graph `planar` query answers
-non-planar, 2 on usage or input errors.
+non-planar, 2 on usage or input errors, 130 when interrupted (Ctrl-C), and
+141 when the reader of stdout has gone (a closed pipe, as after `| head`).
+Neither of the last two prints a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -222,7 +225,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # 128 + SIGPIPE; stdout goes to devnull so that the interpreter's own
+        # flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (TokenGraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

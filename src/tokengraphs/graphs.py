@@ -475,7 +475,12 @@ def _iter_embeddings(g: Graph, plan: tuple[list[list[int]], list[int]], banned: 
 def has_subgraph(g: Graph, pattern: Graph, banned: int = 0) -> bool:
     """True iff `g` contains `pattern` as a (not necessarily induced) subgraph."""
     _check_pattern(pattern)
-    return next(_iter_embeddings(g, _pattern_order(pattern), banned), None) is not None
+    return _has_planned(g, _pattern_order(pattern), banned)
+
+
+def _has_planned(g: Graph, plan, banned: int = 0) -> bool:
+    """`has_subgraph` for a pattern already planned by `_pattern_order`."""
+    return next(_iter_embeddings(g, plan, banned), None) is not None
 
 
 def contains_disjoint(g: Graph, pattern_a: Graph, pattern_b: Graph) -> bool:
@@ -483,10 +488,10 @@ def contains_disjoint(g: Graph, pattern_a: Graph, pattern_b: Graph) -> bool:
     _check_pattern(pattern_a)
     _check_pattern(pattern_b)
     # Place the larger pattern first: fewer embeddings to sweep.
-    if pattern_a.n < pattern_b.n:
-        pattern_a, pattern_b = pattern_b, pattern_a
-    plan_b = _pattern_order(pattern_b)
-    for used in _iter_embeddings(g, _pattern_order(pattern_a)):
-        if next(_iter_embeddings(g, plan_b, banned=used), None) is not None:
-            return True
-    return False
+    big, small = sorted((pattern_a, pattern_b), key=lambda p: -p.n)
+    return _contains_disjoint_planned(g, _pattern_order(big), _pattern_order(small))
+
+
+def _contains_disjoint_planned(g: Graph, plan_a, plan_b) -> bool:
+    """`contains_disjoint` for planned patterns, placing `plan_a`'s first."""
+    return any(_has_planned(g, plan_b, used) for used in _iter_embeddings(g, plan_a))

@@ -14,22 +14,25 @@ rank.
 
 `nonplanarity_by_minor` collects the paper's lemmas that force a non-planar
 token graph without building it (a vertex of degree five, a long cycle, a
-path plus a disjoint claw, or a long path when k is interior).
+path plus a disjoint claw, or a long path when k is interior). Their
+constant patterns are planned once, at import.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadK, InvalidScript
 from .graphs import (
     Graph,
+    _contains_disjoint_planned,
     _drop_bit,
+    _has_planned,
     _mask,
+    _pattern_order,
     has_cycle_of_length_at_least,
-    has_subgraph,
-    contains_disjoint,
     normalize_edge,
     path_graph,
     star_graph,
@@ -177,7 +180,7 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
                 emitted = [DeleteEdge(label[x], label[y]) for x, y in pairs]
             else:
                 for keep, drop in pairs:
-                    i, j = live.index(keep), live.index(drop)
+                    i, j = bisect_left(live, keep), bisect_left(live, drop)
                     emitted.append(ContractEdge(i, j))
                     live[min(i, j)] = keep
                     del live[max(i, j)]
@@ -217,10 +220,10 @@ def apply_and_verify(g: Graph, lifted: LiftedScript) -> bool:
     return edited_tokens == expected
 
 
-# the lemma patterns; a Graph is immutable, so one copy serves every call
-_P3 = path_graph(3)
-_K13 = star_graph(4)
-_P7 = path_graph(7)
+# the lemma patterns, planned once for `_iter_embeddings`
+_P3_PLAN = _pattern_order(path_graph(3))
+_K13_PLAN = _pattern_order(star_graph(4))
+_P7_PLAN = _pattern_order(path_graph(7))
 
 
 def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
@@ -238,8 +241,8 @@ def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
         return "max-degree-5"
     if has_cycle_of_length_at_least(g, 5):
         return "cycle-5"
-    if contains_disjoint(g, _P3, _K13):
+    if _contains_disjoint_planned(g, _K13_PLAN, _P3_PLAN):
         return "disjoint-p3-k13"
-    if 3 <= k <= n - 3 and has_subgraph(g, _P7):
+    if 3 <= k <= n - 3 and _has_planned(g, _P7_PLAN):
         return "p7-inner-k"
     return None

@@ -10,13 +10,15 @@ Combin. 28, 2012).
 
 `token_planarity` is the one path from "is F_k(g) planar?" to a verdict: the
 token graph's closed-form edge count, then the paper's lemmas
-(`nonplanarity_by_minor`), and only then a build of F_k(g) and `is_planar`.
+(`nonplanarity_by_minor`), and only then a build of F_k(g) handed straight to
+the left-right test.
 
 `planarity_oracle` is a deliberately independent cross-check for small graphs:
 planarity is decided by exhaustively searching for a K5 or K3,3 minor through
-contraction sequences, with degree-<=2 simplification and a global memo keyed
-on canonical form. The two implementations share no logic, so agreement
-between them is meaningful.
+contraction sequences, with degree-<=2 simplification and a memo of the
+simplified graphs met during one call. The two implementations share no
+logic, so agreement between them is meaningful. The module keeps no state
+between calls.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .canon import canonical_graph6
 from .errors import SizeLimitExceeded
 from .graphs import Graph, _bits, _mask
 from .minors import nonplanarity_by_minor
@@ -301,9 +302,10 @@ def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
     one E <= 2V - 4. F_k(g) is bipartite when g is: a move changes the
     number of tokens on one side of g by exactly one. Past either bound the
     verdict is "token-edge-bound"; next, a lemma of `nonplanarity_by_minor`
-    rejects under its own name; only then is F_k(g) built and tested by
-    `is_planar`, whose bipartite bound never fires there: it is the bound
-    above, already applied. Raises BadK unless 1 <= k < n.
+    rejects under its own name; only then is F_k(g) built and handed to the
+    left-right test. `is_planar` would add nothing there: its 3n - 6 bound is
+    the one above, and its bipartite bound is too, as F_k(g) is bipartite
+    only when g is. Raises BadK unless 1 <= k < n.
     """
     _check_k(g.n, k)
     v = comb(g.n, k)
@@ -313,14 +315,12 @@ def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
     lemma = nonplanarity_by_minor(g, k)
     if lemma is not None:
         return PlanarityVerdict(False, lemma)
-    return is_planar(build_token_graph(g, k).graph)
+    built = build_token_graph(g, k).graph
+    return PlanarityVerdict(_LeftRight(built).run(), "left-right")
 
 
 # ---------------------------------------------------------------------------
 # independent oracle for small graphs
-
-
-_MINOR_MEMO: dict[str, bool] = {}
 
 
 def _simplify(g: Graph) -> Graph:
@@ -361,24 +361,16 @@ def _has_k33_subgraph(g: Graph) -> bool:
     return False
 
 
-def _has_kuratowski_minor(g: Graph) -> bool:
+def _has_kuratowski_minor(g: Graph, memo: dict[Graph, bool]) -> bool:
+    """True iff g has a K5 or K3,3 minor; `memo` maps simplified graphs seen so far."""
     g = _simplify(g)
     if g.n < 5 or g.m < 9:
         return False
-    key = canonical_graph6(g)
-    hit = _MINOR_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if _has_clique5(g) or _has_k33_subgraph(g):
-        _MINOR_MEMO[key] = True
-        return True
-    found = False
-    for u, v in g.edges():
-        if _has_kuratowski_minor(g.contract_edge(u, v)):
-            found = True
-            break
-    _MINOR_MEMO[key] = found
-    return found
+    if g not in memo:
+        memo[g] = _has_clique5(g) or _has_k33_subgraph(g) or any(
+            _has_kuratowski_minor(g.contract_edge(u, v), memo) for u, v in g.edges()
+        )
+    return memo[g]
 
 
 def planarity_oracle(g: Graph) -> bool:
@@ -390,4 +382,4 @@ def planarity_oracle(g: Graph) -> bool:
         raise SizeLimitExceeded(
             f"planarity oracle is capped at n <= {ORACLE_MAX_N}, got n={g.n}"
         )
-    return not _has_kuratowski_minor(g)
+    return not _has_kuratowski_minor(g, {})

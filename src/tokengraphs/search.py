@@ -51,6 +51,7 @@ from .errors import BadK, SizeLimitExceeded, TokenGraphError
 from .graph6 import iter_graph6
 from .graphs import Graph, _bits, empty_graph
 from .planarity import token_planarity
+from .tokens import _check_interior_k
 
 GENERATOR_MAX_N = 14
 
@@ -310,8 +311,7 @@ class SearchReport:
 def verify_maximality(g: Graph, k: int) -> bool:
     """True iff F_k(g) is planar and every single-edge addition breaks that."""
     n = g.n
-    if not 2 <= k <= n - 2:
-        raise BadK(f"maximality check needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_interior_k(n, k, "maximality check")
     if not token_planarity(g, k).planar:
         return False
     for u in range(n):

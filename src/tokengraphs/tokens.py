@@ -62,6 +62,11 @@ def _check_k(n: int, k: int) -> None:
         raise BadK(f"need 1 <= k < n, got k={k} for n={n}")
 
 
+def _check_interior_k(n: int, k: int, what: str) -> None:
+    if not 2 <= k <= n - 2:
+        raise BadK(f"{what} needs 2 <= k <= n-2, got k={k}, n={n}")
+
+
 def build_token_graph(
     g: Graph, k: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> TokenGraph:

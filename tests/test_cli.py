@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tokengraphs.cli
 from tokengraphs import Graph, decode_graph6, encode_graph6, complete_graph, lift_script, path_graph
 from tokengraphs.cli import main
 
@@ -255,3 +260,42 @@ def test_canon_too_deep_for_the_search_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "canon", "--file", str(edgeless))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "n=1000" in err
+
+
+def run_child(code, stdin_bytes, close_stdout=False):
+    """Run `code` in a fresh interpreter on this checkout's package; (returncode, stderr)."""
+    src = str(Path(tokengraphs.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    if close_stdout:
+        # the child cannot write before it has read all of stdin
+        proc.stdout.close()
+    _, err = proc.communicate(stdin_bytes, timeout=60)
+    return proc.returncode, err.decode()
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    code = (
+        "import sys\n"
+        "import tokengraphs.cli as cli\n"
+        "def interrupted(args):\n"
+        "    raise KeyboardInterrupt\n"
+        "cli._cmd_canon = interrupted\n"
+        "sys.exit(cli.main(['canon', '--graph6', 'C~']))\n"
+    )
+    returncode, err = run_child(code, b"")
+    assert returncode == 130
+    assert "Traceback" not in err
+    assert err.strip() == "interrupted"
+
+
+def test_closed_stdout_exits_141_quietly():
+    code = "import sys, tokengraphs.cli as cli; sys.exit(cli.main(['build', '-k', '2', '--out', 'dot']))"
+    returncode, err = run_child(code, b"C~\n", close_stdout=True)
+    assert (returncode, err) == (141, "")

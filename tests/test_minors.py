@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import tokengraphs.graphs
 from tokengraphs import (
     BadK,
     ContractEdge,
@@ -27,6 +28,7 @@ from tokengraphs import (
     nonplanarity_by_minor,
     parse_script,
     path_graph,
+    residual_degree_obstruction,
     star_graph,
 )
 from tokengraphs.search import _trees
@@ -278,3 +280,20 @@ def test_every_large_non_path_tree_is_certified():
     assert walked == 234 + 550 + 1300
     # paths never certify
     assert nonplanarity_by_minor(path_graph(14), 2) is None
+
+
+def test_lemma_patterns_are_planned_once_at_import(monkeypatch):
+    def plan_again(pattern):
+        raise AssertionError("a lemma pattern was planned again")
+
+    monkeypatch.setattr(tokengraphs.graphs, "_pattern_order", plan_again)
+    witnesses = [
+        (star_graph(6), 2, "max-degree-5"),
+        (cycle_graph(5), 2, "cycle-5"),
+        (Graph(7, [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]), 2, "disjoint-p3-k13"),
+        (path_graph(7), 3, "p7-inner-k"),
+    ]
+    for g, k, reason in witnesses:
+        assert nonplanarity_by_minor(g, k) == reason
+    # the residual certificate places the same P_3 plan
+    assert residual_degree_obstruction(path_graph(7), 3)

@@ -277,3 +277,20 @@ def test_token_planarity_input_contract():
             token_planarity(path_graph(5), k)
     # V < 3 leaves nothing to bound: F_1(K_2) is K_2
     assert token_planarity(complete_graph(2), 1) == PlanarityVerdict(True, "left-right")
+
+
+def test_planarity_keeps_no_state_and_needs_no_canonical_labelling():
+    names = vars(tokengraphs.planarity)
+    assert "canonical_graph6" not in names and "_MINOR_MEMO" not in names
+    before = {name: repr(value) for name, value in names.items()}
+    assert not planarity_oracle(petersen_graph())
+    assert planarity_oracle(octahedron_graph())
+    assert {name: repr(value) for name, value in names.items()} == before
+
+
+def test_token_planarity_hands_its_build_straight_to_left_right(monkeypatch):
+    def bounds_again(g):
+        raise AssertionError("token_planarity has applied both edge bounds already")
+
+    monkeypatch.setattr(tokengraphs.planarity, "is_planar", bounds_again)
+    assert token_planarity(path_graph(5), 2) == PlanarityVerdict(True, "left-right")

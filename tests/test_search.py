@@ -28,7 +28,7 @@ from tokengraphs import (
 )
 from tokengraphs.search import _grow, _trees
 
-from util import shuffled
+from util import shuffled, tree_code
 
 # published counts of isomorphism classes of simple graphs (OEIS A000088, A001349)
 TOTAL_CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -87,7 +87,17 @@ def test_trees_match_published_counts():
         trees = _trees(n)
         assert len(trees) == count
         assert all(t.n == n and t.is_tree() for t in trees)
-        assert len({canonical_graph6(t) for t in trees}) == count
+        assert len({tree_code(t) for t in trees}) == count
+
+
+def test_tree_code_is_an_isomorphism_invariant():
+    rng = random.Random(55)
+    for n in range(1, 12):
+        trees = _trees(n)
+        assert all(tree_code(shuffled(rng, t)) == tree_code(t) for t in trees)
+        # as fine as canonical labelling: distinct classes get distinct codes
+        codes = {tree_code(t) for t in trees}
+        assert len(codes) == len({canonical_graph6(t) for t in trees})
 
 
 def test_trees_agree_with_canonical_form_growth():

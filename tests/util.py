@@ -60,6 +60,34 @@ def brute_token_edges(g: Graph, k: int):
     return subs, edges
 
 
+def tree_code(t: Graph) -> str:
+    """Centre-rooted AHU code of a tree: equal for two trees iff they are isomorphic.
+
+    Peeling leaves layer by layer leaves the one or two centres, which every
+    isomorphism maps onto each other. The code of a rooted tree is its
+    children's codes, sorted and bracketed (Aho, Hopcroft & Ullman), and a
+    tree with two centres takes the smaller of its two rooted codes.
+    """
+    nbrs = [t.neighbors(v) for v in range(t.n)]
+    degree = [len(ws) for ws in nbrs]
+    layer = [v for v in range(t.n) if degree[v] <= 1]
+    left = t.n
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in nbrs[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+
+    def rooted(v, parent):
+        return "(" + "".join(sorted(rooted(w, v) for w in nbrs[v] if w != parent)) + ")"
+
+    return min(rooted(c, None) for c in layer)
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False
