@@ -203,14 +203,11 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
     if not g.is_connected():
         raise Disconnected("planarity classification is defined for connected graphs")
     if n > 10:
-        if g.is_path_graph() and k in (2, n - 2):
+        path = g.is_path_graph()
+        if path and k in (2, n - 2):
             return TokenPlanarity(True, "characterization", "path-outer-k", k)
-        return TokenPlanarity(
-            False,
-            "characterization",
-            "not-a-path" if not g.is_path_graph() else "inner-k",
-            k,
-        )
+        reason = "inner-k" if path else "not-a-path"
+        return TokenPlanarity(False, "characterization", reason, k)
     verdict = token_planarity(g, k)
     method = "computed" if verdict.method == "left-right" else "structural"
     return TokenPlanarity(verdict.planar, method, verdict.method, k)

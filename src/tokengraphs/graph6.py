@@ -12,13 +12,17 @@ from .errors import MalformedGraph6
 from .graphs import Graph
 
 
+# the wide order fields: t tildes, then 3t bytes of n, for n up to the bound
+_WIDE_ORDERS = ((1, 258047), (2, 68719476735))
+
+
 def _encode_n(n: int) -> list[int]:
     if n <= 62:
         return [n + 63]
-    if n <= 258047:
-        return [126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)]
-    if n <= 68719476735:
-        return [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
+    for tildes, top in _WIDE_ORDERS:
+        if n <= top:
+            shifts = range(18 * tildes - 6, -1, -6)
+            return [126] * tildes + [(n >> s & 63) + 63 for s in shifts]
     raise ValueError(f"graph6 cannot encode n = {n}")
 
 
@@ -63,22 +67,14 @@ def decode_graph6(text: str | bytes) -> Graph:
         if not 63 <= b <= 126:
             raise MalformedGraph6(f"byte {b!r} outside graph6 range", i)
 
-    pos = 0
     if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise MalformedGraph6("truncated 8-byte order field", len(data))
-            n = 0
-            for b in data[2:8]:
-                n = (n << 6) | (b - 63)
-            pos = 8
-        else:
-            if len(data) < 4:
-                raise MalformedGraph6("truncated 4-byte order field", len(data))
-            n = 0
-            for b in data[1:4]:
-                n = (n << 6) | (b - 63)
-            pos = 4
+        tildes = 2 if data[1:2] == b"~" else 1
+        pos = 4 * tildes  # the tildes and 3 bytes of n per tilde
+        if len(data) < pos:
+            raise MalformedGraph6(f"truncated {pos}-byte order field", len(data))
+        n = 0
+        for b in data[tildes:pos]:
+            n = (n << 6) | (b - 63)
     else:
         n = data[0] - 63
         pos = 1

@@ -5,13 +5,14 @@ cut and common-neighbour queries are popcounts. Python ints grow as needed,
 which lets the same representation serve both the small base graphs and the
 much larger token graphs built on top of them. Graphs are immutable: every
 editing operation returns a new value, so instances can be shared freely.
-Each edit carries its edge count over in closed form (one more or one fewer
-edge, m - deg v for a vertex deletion, C(n, 2) - m for the complement), so
-no edit recounts the rows: on a token graph each row is thousands of bits.
 
-Relabeling rules (used by all shrinking operations): surviving vertices keep
+Every deletion and contraction goes through one editor, `_edit`, which runs
+a whole script of them at once. Relabeling rule: surviving vertices keep
 their relative order and are compacted downward; contracting an edge merges
-the endpoints into min(u, v).
+the endpoints into min(u, v). The editor walks the script on a list of
+labels, clears or moves only the bits each step touches, keeps the edge
+count in closed form, and renames the surviving rows once at the end, so a
+script of thousands of steps on a token graph rewrites its rows once.
 """
 
 from __future__ import annotations
@@ -115,12 +116,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            higher = self._adj[u] >> (u + 1)
-            for off in _bits(higher):
-                out.append((u, u + 1 + off))
-        return out
+        return [(u, w) for u in range(self.n) for w in _bits(self._adj[u] >> u + 1 << u + 1)]
 
     def is_regular(self) -> bool:
         degs = self.degrees()
@@ -156,43 +152,14 @@ class Graph:
         return Graph._from_adj(adj, self.m + 1)
 
     def delete_edge(self, u: int, v: int) -> "Graph":
-        u, v = normalize_edge(u, v)
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if not self._adj[u] >> v & 1:
-            raise NotAnEdge(f"edge ({u},{v}) not present")
-        adj = list(self._adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph._from_adj(adj, self.m - 1)
+        return _edit(self, (("de", u, v),))
 
     def delete_vertex(self, v: int) -> "Graph":
-        self._check_vertex(v)
-        adj = [
-            _drop_bit(self._adj[x] & ~(1 << v), v)
-            for x in range(self.n)
-            if x != v
-        ]
-        return Graph._from_adj(adj, self.m - self._adj[v].bit_count())
+        return _edit(self, (("dv", v),))
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Contract the edge (u, v), merging both ends into min(u, v)."""
-        u, v = normalize_edge(u, v)
-        if not self.has_edge(u, v):
-            raise NotAnEdge(f"cannot contract absent edge ({u},{v})")
-        merged = (self._adj[u] | self._adj[v]) & ~((1 << u) | (1 << v))
-        adj = []
-        for x in range(self.n):
-            if x == v:
-                continue
-            row = merged if x == u else self._adj[x]
-            if row >> v & 1:
-                row = (row & ~(1 << v)) | (1 << u)
-            row &= ~(1 << x)
-            adj.append(_drop_bit(row, v))
-        # uv vanishes, and each common neighbour's two edges become one
-        common = (self._adj[u] & self._adj[v]).bit_count()
-        return Graph._from_adj(adj, self.m - 1 - common)
+        return _edit(self, (("ce", u, v),))
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
@@ -201,16 +168,10 @@ class Graph:
 
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph induced on `vertices`, relabeled in ascending order."""
-        keep = sorted(set(vertices))
-        for v in keep:
+        keep = set(vertices)
+        for v in sorted(keep):
             self._check_vertex(v)
-        pos = {v: i for i, v in enumerate(keep)}
-        adj = [0] * len(keep)
-        for v in keep:
-            for w in _bits(self._adj[v]):
-                if w in pos:
-                    adj[pos[v]] |= 1 << pos[w]
-        return Graph._from_adj(adj)
+        return _edit(self, [("dv", v) for v in reversed(range(self.n)) if v not in keep])
 
     # -- connectivity ---------------------------------------------------
 
@@ -271,12 +232,7 @@ class Graph:
         return self.n >= 1 and self.m == self.n - 1 and self.is_connected()
 
     def is_path_graph(self) -> bool:
-        if self.n == 1:
-            return self.m == 0
-        return (
-            self.is_tree()
-            and self.max_degree() <= 2
-        )
+        return self.is_tree() and self.max_degree() <= 2
 
     def is_cycle_graph(self) -> bool:
         return (
@@ -293,15 +249,83 @@ class Graph:
         return self.degree_multiset() == (1,) * (self.n - 1) + (self.n - 1,)
 
 
+def _edit(g: Graph, ops) -> Graph:
+    """Apply a script of deletions and contractions to g, rewriting the rows once.
+
+    `ops` holds ("dv", v), ("de", u, v) and ("ce", u, v) steps (or anything
+    that unpacks so), each naming vertices by the labels current when it
+    runs, as if every step returned a new `Graph`. Every vertex keeps its
+    index in g while the script runs: `label` lists the live indices in
+    label order, a deletion pops one of them and a contraction merges the
+    higher label's row into the lower one, so `label` stays increasing.
+    Raises NoSuchVertex or NotAnEdge for the first step that does not apply.
+    """
+    adj = list(g._adj)
+    label = list(range(g.n))
+    gone = []  # the indices that left `label`
+    m = g.m
+    for code, *ends in ops:
+        if code != "dv":
+            ends = normalize_edge(*ends)
+        n = len(label)
+        for v in ends:
+            if not 0 <= v < n:
+                raise NoSuchVertex(f"vertex {v} outside 0..{n - 1}")
+        if code == "dv":
+            y = label.pop(ends[0])
+            m -= adj[y].bit_count()
+            row, into = adj[y], 0  # y's neighbours drop their bit y
+        else:
+            u, v = ends
+            x, y = label[u], label[v]
+            if not adj[x] >> y & 1:
+                raise NotAnEdge(
+                    f"edge ({u},{v}) not present" if code == "de"
+                    else f"cannot contract absent edge ({u},{v})"
+                )
+            if code == "de":
+                adj[x] ^= 1 << y
+                adj[y] ^= 1 << x
+                m -= 1
+                continue
+            # xy vanishes, and each common neighbour's two edges become one
+            m -= 1 + (adj[x] & adj[y]).bit_count()
+            adj[x] = (adj[x] | adj[y]) & ~(1 << x | 1 << y)
+            row, into = adj[y] ^ 1 << x, 1 << x  # y's other neighbours move to x
+            del label[v]
+        gone.append(y)
+        by = 1 << y
+        while row:  # inline: on a small graph a generator costs more than the edit
+            low = row & -row
+            z = low.bit_length() - 1
+            adj[z] = adj[z] ^ by | into
+            row ^= low
+    # Rename the survivors bit by bit, or, when that is dearer (few vertices
+    # gone, as on a small graph), drop each gone index from every row.
+    if len(gone) * len(label) > 2 * m:
+        adj = _renamed(adj, label, {x: i for i, x in enumerate(label)})
+    elif gone:
+        for x in sorted(gone, reverse=True):
+            del adj[x]
+            low, high = (1 << x) - 1, -1 << x
+            adj = [a & low | a >> 1 & high for a in adj]
+    return Graph._from_adj(adj, m)
+
+
+def _renamed(rows, live, pos) -> list[int]:
+    """Row v of `live` moved to pos[v], each of its bits w moved to pos[w]."""
+    out = [0] * len(live)
+    for v in live:
+        image = 0
+        for w in _bits(rows[v]):
+            image |= 1 << pos[w]
+        out[pos[v]] = image
+    return out
+
+
 def _relabeled(g: Graph, perm) -> Graph:
     """Copy of g with vertex v renamed to perm[v], a permutation of 0..n-1."""
-    adj = [0] * g.n
-    for v in range(g.n):
-        image = 0
-        for w in _bits(g._adj[v]):
-            image |= 1 << perm[w]
-        adj[perm[v]] = image
-    return Graph._from_adj(adj, g.m)  # relabelling moves no edge
+    return Graph._from_adj(_renamed(g._adj, range(g.n), perm), g.m)  # moves no edge
 
 
 # ---------------------------------------------------------------------------

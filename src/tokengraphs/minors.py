@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     _contains_disjoint_planned,
     _drop_bit,
+    _edit,
     _has_planned,
     _mask,
     _pattern_order,
@@ -41,42 +42,49 @@ from .subsets import SubsetCodec
 from .tokens import _check_k, build_token_graph
 
 
-@dataclass(frozen=True)
-class DeleteVertex:
-    v: int
+class _Op:
+    """A script step: its `code` and its fields, in order, make up its line.
+
+    Iterating an operation yields ("dv", v), ("de", u, v) or ("ce", u, v),
+    the step form `graphs._edit` takes.
+    """
+
+    code = ""
+
+    def __iter__(self):
+        yield self.code
+        for name in self.__match_args__:
+            yield getattr(self, name)
 
     def apply(self, g: Graph) -> Graph:
-        return g.delete_vertex(self.v)
+        return _edit(g, (self,))
 
     def format(self) -> str:
-        return f"dv {self.v}"
+        return " ".join(map(str, self))
 
 
 @dataclass(frozen=True)
-class DeleteEdge:
+class DeleteVertex(_Op):
+    v: int
+    code = "dv"
+
+
+@dataclass(frozen=True)
+class DeleteEdge(_Op):
     u: int
     v: int
-
-    def apply(self, g: Graph) -> Graph:
-        return g.delete_edge(self.u, self.v)
-
-    def format(self) -> str:
-        return f"de {self.u} {self.v}"
+    code = "de"
 
 
 @dataclass(frozen=True)
-class ContractEdge:
+class ContractEdge(_Op):
     u: int
     v: int
-
-    def apply(self, g: Graph) -> Graph:
-        return g.contract_edge(self.u, self.v)
-
-    def format(self) -> str:
-        return f"ce {self.u} {self.v}"
+    code = "ce"
 
 
 Operation = DeleteVertex | DeleteEdge | ContractEdge
+_OPS = {op.code: op for op in (DeleteVertex, DeleteEdge, ContractEdge)}
 
 
 def parse_script(text: str) -> tuple:
@@ -90,7 +98,6 @@ def parse_script(text: str) -> tuple:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        kind = parts[0].lower()
         args = []
         for p in parts[1:]:
             try:
@@ -99,14 +106,10 @@ def parse_script(text: str) -> tuple:
                 raise InvalidScript(
                     f"line {lineno}: {p!r} is not a vertex label"
                 ) from None
-        if kind == "dv" and len(args) == 1:
-            ops.append(DeleteVertex(args[0]))
-        elif kind == "de" and len(args) == 2:
-            ops.append(DeleteEdge(args[0], args[1]))
-        elif kind == "ce" and len(args) == 2:
-            ops.append(ContractEdge(args[0], args[1]))
-        else:
+        op = _OPS.get(parts[0].lower())
+        if op is None or len(args) != len(op.__match_args__):
             raise InvalidScript(f"line {lineno}: unrecognized operation {line!r}")
+        ops.append(op(*args))
     return tuple(ops)
 
 
@@ -115,9 +118,8 @@ def format_script(ops) -> str:
 
 
 def apply_script(g: Graph, ops) -> Graph:
-    for op in ops:
-        g = op.apply(g)
-    return g
+    """Apply a script to g in one pass of `graphs._edit`."""
+    return _edit(g, ops)
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,7 @@ class LiftedScript:
 
     @property
     def ops(self) -> tuple:
-        out = []
-        for step in self.steps:
-            out.extend(step.ops)
-        return tuple(out)
+        return tuple(op for step in self.steps for op in step.ops)
 
 
 def lift_script(g: Graph, k: int, ops) -> LiftedScript:

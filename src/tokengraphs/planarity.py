@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import SizeLimitExceeded
-from .graphs import Graph, _bits, _mask
+from .graphs import Graph, _bits, _edit, _mask
 from .minors import nonplanarity_by_minor
 from .tokens import _check_k, build_token_graph
 
@@ -277,6 +277,12 @@ class _LeftRight:
         self.S.append(P)
 
 
+def _past_euler(v: int, e: int, g: Graph) -> bool:
+    """True iff v vertices and e edges break Euler's bound: e > 3v - 6 for
+    v >= 3, or e > 2v - 4 when g is bipartite (tested only past 2v - 4)."""
+    return v >= 3 and (e > 3 * v - 6 or (e > 2 * v - 4 and g.is_bipartite()))
+
+
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Planarity of g, connected or not.
 
@@ -287,8 +293,7 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     verdict is "euler-bound"; bipartiteness is tested only past 2n - 4.
     Otherwise the left-right test decides.
     """
-    n, m = g.n, g.m
-    if n >= 3 and (m > 3 * n - 6 or (m > 2 * n - 4 and g.is_bipartite())):
+    if _past_euler(g.n, g.m, g):
         return PlanarityVerdict(False, "euler-bound")
     return PlanarityVerdict(_LeftRight(g).run(), "left-right")
 
@@ -308,9 +313,7 @@ def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
     only when g is. Raises BadK unless 1 <= k < n.
     """
     _check_k(g.n, k)
-    v = comb(g.n, k)
-    e = g.m * comb(g.n - 2, k - 1)
-    if v >= 3 and (e > 3 * v - 6 or (e > 2 * v - 4 and g.is_bipartite())):
+    if _past_euler(comb(g.n, k), g.m * comb(g.n - 2, k - 1), g):
         return PlanarityVerdict(False, "token-edge-bound")
     lemma = nonplanarity_by_minor(g, k)
     if lemma is not None:
@@ -330,15 +333,14 @@ def _simplify(g: Graph) -> Graph:
     which covers K5 and K3,3.
     """
     while True:
-        drop = [v for v in range(g.n) if g.degree(v) <= 1]
-        if drop:
-            g = g.induced_subgraph(v for v in range(g.n) if v not in set(drop))
-            continue
-        two = next((v for v in range(g.n) if g.degree(v) == 2), None)
-        if two is None:
+        degs = g.degrees()
+        if min(degs, default=2) <= 1:  # highest first: no deletion shifts a later label
+            g = _edit(g, [("dv", v) for v in reversed(range(g.n)) if degs[v] <= 1])
+        elif 2 in degs:
+            two = degs.index(2)
+            g = g.contract_edge(two, next(_bits(g._adj[two])))
+        else:
             return g
-        u = next(_bits(g._adj[two]))
-        g = g.contract_edge(two, u)
 
 
 def _has_clique5(g: Graph) -> bool:

@@ -92,15 +92,8 @@ class SubsetCodec:
 
     def rank_mask(self, mask: int) -> int:
         """Colex rank of a subset given as a bitmask."""
-        total = 0
-        i = 1
         cmb = self._comb
-        while mask:
-            lsb = mask & -mask
-            total += cmb[lsb.bit_length() - 1][i]
-            i += 1
-            mask ^= lsb
-        return total
+        return sum(cmb[v][i] for i, v in enumerate(_bits(mask), 1))
 
     def unrank(self, r: int) -> KSubset:
         """The subset of colex rank r, as a KSubset (see `unrank_mask`)."""

@@ -19,8 +19,8 @@ the rows: E = m * C(n-2, k-1), since each edge of g moves a token while
 k - 1 others sit on the remaining n - 2 vertices.
 
 Rows are bitmask ints of up to V bits, so a build can hold up to about V²/8
-bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The default vertex
-budget of 10^5 keeps that near 1.2 GiB.
+bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The vertex budget of
+10^5 bounds that by 10^10/8 bytes, about 1.2 GiB.
 """
 
 from __future__ import annotations
@@ -67,24 +67,22 @@ def _check_interior_k(n: int, k: int, what: str) -> None:
         raise BadK(f"{what} needs 2 <= k <= n-2, got k={k}, n={n}")
 
 
-def build_token_graph(
-    g: Graph, k: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
-) -> TokenGraph:
+def build_token_graph(g: Graph, k: int) -> TokenGraph:
     """Build the k-token graph of g.
 
     One dict lookup per token edge, found from its higher end in colex order
     with the ranks walked top down; the edge count is the closed form
     m * C(n-2, k-1). Raises BadK unless 1 <= k < n, BudgetExceeded when
-    C(n, k) would pass `vertex_budget` (checked before anything is
+    C(n, k) would pass DEFAULT_VERTEX_BUDGET (checked before anything is
     allocated).
     """
     n = g.n
     _check_k(n, k)
     codec = SubsetCodec(n, k)
     size = codec.size
-    if size > vertex_budget:
+    if size > DEFAULT_VERTEX_BUDGET:
         raise BudgetExceeded(
-            f"C({n},{k}) = {size} token vertices exceed the budget {vertex_budget}"
+            f"C({n},{k}) = {size} token vertices exceed the budget {DEFAULT_VERTEX_BUDGET}"
             f" (bitmask rows would need up to about {size * size / 8 / 2**20:,.0f} MiB)"
         )
     rank_of = {mask: r for r, mask in enumerate(codec.masks())}
@@ -126,18 +124,12 @@ def token_degree(g: Graph, subset) -> int:
     elif subset.n != g.n:
         raise ValueError(f"subset over 0..{subset.n - 1} for a graph on {g.n} vertices")
     amask = subset.mask
-    total = 0
-    mask = amask
-    while mask:
-        lsb = mask & -mask
-        total += (g._adj[lsb.bit_length() - 1] & ~amask).bit_count()
-        mask ^= lsb
-    return total
+    return sum((g._adj[u] & ~amask).bit_count() for u in _bits(amask))
 
 
-def johnson(n: int, k: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> TokenGraph:
+def johnson(n: int, k: int) -> TokenGraph:
     """The Johnson graph J(n, k) = k-token graph of the complete graph."""
-    return build_token_graph(complete_graph(n), k, vertex_budget=vertex_budget)
+    return build_token_graph(complete_graph(n), k)
 
 
 def johnson_complement(tg: TokenGraph) -> TokenGraph:

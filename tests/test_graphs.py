@@ -7,6 +7,7 @@ from tokengraphs import (
     NoSuchVertex,
     NotAnEdge,
     UnsupportedPattern,
+    apply_script,
     complete_bipartite_graph,
     complete_graph,
     contains_disjoint,
@@ -15,6 +16,7 @@ from tokengraphs import (
     has_cycle_of_length_at_least,
     has_subgraph,
     octahedron_graph,
+    parse_script,
     path_graph,
     petersen_graph,
     star_graph,
@@ -114,6 +116,24 @@ def test_contract_requires_edge():
         path_graph(4).contract_edge(0, 3)
 
 
+def test_edit_errors_name_the_step():
+    g = path_graph(5)
+    with pytest.raises(NoSuchVertex, match=r"^vertex 7 outside 0\.\.4$"):
+        g.delete_vertex(7)
+    with pytest.raises(NoSuchVertex, match=r"^vertex -1 outside 0\.\.4$"):
+        g.induced_subgraph([-1, 2, 9])
+    with pytest.raises(NotAnEdge, match=r"^edge \(0,2\) not present$"):
+        g.delete_edge(2, 0)
+    with pytest.raises(NotAnEdge, match=r"^cannot contract absent edge \(0,3\)$"):
+        g.contract_edge(3, 0)
+    # a loop is rejected before any range check
+    with pytest.raises(NotAnEdge, match=r"^self-loop at vertex 9$"):
+        g.contract_edge(9, 9)
+    # within a script, the labels and the range are those the failing step sees
+    with pytest.raises(NoSuchVertex, match=r"^vertex 4 outside 0\.\.3$"):
+        apply_script(g, parse_script("dv 0\nde 0 1\nde 0 4"))
+
+
 def test_complement_involution_and_size():
     rng = random.Random(7)
     for _ in range(40):
@@ -140,7 +160,9 @@ def test_induced_subgraph():
     h = g.induced_subgraph([0, 1, 2, 4])
     assert h.n == 4
     assert h.edges() == [(0, 1), (1, 2)]
+    assert_counted(h)
     assert g.induced_subgraph([]) == empty_graph(0)
+    assert g.induced_subgraph(range(6)) == g
 
 
 def test_components_and_connectivity():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -33,7 +34,7 @@ from tokengraphs import (
 )
 from tokengraphs.search import _trees
 
-from util import random_graph
+from util import random_graph, reference_script
 
 
 def test_operations_apply():
@@ -96,6 +97,95 @@ def test_apply_script_chains_operations():
     g = complete_graph(5)
     h = apply_script(g, parse_script("dv 4\nce 0 1\nde 0 2"))
     assert (h.n, h.m) == (3, 2)
+
+
+def as_ops(steps):
+    """Operation objects for ("dv", v), ("de", u, v) and ("ce", u, v) steps."""
+    ops = {"dv": DeleteVertex, "de": DeleteEdge, "ce": ContractEdge}
+    return [ops[code](*ends) for code, *ends in steps]
+
+
+def test_apply_script_matches_the_per_step_reference():
+    """One pass over a script equals its steps applied one at a time.
+
+    Most labels are drawn below the order a step is likely to see, one in
+    ten from -1..n, so many scripts fail part way (a missing vertex, a
+    missing edge or a loop); those must fail with the reference's exception
+    class.
+    """
+    rng = random.Random(523)
+    outcomes = Counter()
+    for _ in range(1500):
+        n = rng.randint(0, 8)
+        g = random_graph(rng, n, rng.uniform(0.3, 1))
+        steps = []
+        for _ in range(rng.randint(1, 3)):
+            code = rng.choice(("dv", "de", "ce"))
+            likely = max(n - len(steps), 1)
+            ends = [
+                rng.randint(-1, n) if rng.random() < 0.1 else rng.randrange(likely)
+                for _ in range(1 if code == "dv" else 2)
+            ]
+            steps.append((code, *ends))
+        script = as_ops(steps)
+        try:
+            expected = reference_script(g, steps)
+        except (NoSuchVertex, NotAnEdge) as exc:
+            outcomes[type(exc)] += 1
+            with pytest.raises(type(exc)):
+                apply_script(g, script)
+            continue
+        outcomes["applied"] += 1
+        got = apply_script(g, script)
+        assert got == expected and got.m == expected.m
+    assert min(outcomes.values()) > 150 and len(outcomes) == 3
+
+
+def test_apply_script_matches_the_reference_on_valid_scripts():
+    """Long valid scripts, each step drawn from the graph the last one left."""
+    rng = random.Random(529)
+    for _ in range(300):
+        g = h = random_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.9))
+        steps = []
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.3 and h.n:
+                step = ("dv", rng.randrange(h.n))
+            elif h.m:
+                u, v = rng.sample(h.edges()[rng.randrange(h.m)], 2)
+                step = (rng.choice(("de", "ce")), u, v)
+            else:
+                break
+            steps.append(step)
+            h = reference_script(h, [step])
+        got = apply_script(g, as_ops(steps))
+        assert got == h and got.m == h.m
+
+
+def test_apply_script_builds_one_graph(monkeypatch):
+    """A 50-step lifted script rewrites the token graph's rows once."""
+    g = cycle_graph(10)
+    lifted = lift_script(g, 3, parse_script("ce 0 1\ndv 0"))
+    ops = lifted.ops[:50]
+    assert {type(op) for op in ops} == {ContractEdge, DeleteVertex}
+    tokens = build_token_graph(g, 3).graph
+    built = []
+    from_adj = Graph._from_adj.__func__
+
+    def counted(cls, adj, m=None):
+        built.append(len(adj))
+        return from_adj(cls, adj, m)
+
+    monkeypatch.setattr(Graph, "_from_adj", classmethod(counted))
+    h = apply_script(tokens, ops)
+    assert built == [h.n] == [tokens.n - 50]  # each step removes one vertex
+
+
+@pytest.mark.parametrize("script", ["dv 0", "ce 0 1"])
+def test_apply_and_verify_on_a_long_cycle(script):
+    """C_14 with k = 7: 1,716 lifted deletions, or 924 contractions and 792
+    deletions, replayed on 3,432 token vertices in one pass."""
+    g = cycle_graph(14)
+    assert apply_and_verify(g, lift_script(g, 7, parse_script(script)))
 
 
 def test_lift_on_a_worked_example():

@@ -101,9 +101,6 @@ def test_vertex_budget():
         build_token_graph(complete_graph(40), 20)
     with pytest.raises(BudgetExceeded):
         johnson(40, 20)
-    # a custom budget tightens the cap
-    with pytest.raises(BudgetExceeded):
-        build_token_graph(complete_graph(6), 3, vertex_budget=10)
 
 
 def test_default_budget_rejects_before_allocating():

@@ -2,13 +2,14 @@
 
 Everything here is deliberately independent of the library internals so it
 can serve as ground truth: the token-graph oracle works on tuples and
-symmetric differences, the isomorphism oracle tries every permutation.
+symmetric differences, the isomorphism oracle tries every permutation, and
+the script oracle edits an edge set one step at a time.
 """
 
 import random
 from itertools import combinations, permutations
 
-from tokengraphs import Graph
+from tokengraphs import Graph, NoSuchVertex, NotAnEdge
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -96,3 +97,40 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         if eg == {tuple(sorted((perm[u], perm[v]))) for u, v in h.edges()}:
             return True
     return False
+
+
+def reference_script(g: Graph, steps) -> Graph:
+    """Apply ("dv", v), ("de", u, v) and ("ce", u, v) steps one at a time.
+
+    The graph is an edge set of frozensets, and every step that removes a
+    vertex renames the rest explicitly: a contraction first moves the higher
+    end's edges onto the lower end, then every label above the removed one
+    drops by one. Raises NotAnEdge for a loop or a missing edge and
+    NoSuchVertex for a label outside 0..n-1, as the library does.
+    """
+    n = g.n
+    edges = {frozenset(e) for e in g.edges()}
+    for code, *ends in steps:
+        if len(set(ends)) < len(ends):
+            raise NotAnEdge(f"self-loop in {code} {ends}")
+        if any(not 0 <= v < n for v in ends):
+            raise NoSuchVertex(f"{code} {ends} outside 0..{n - 1}")
+        if code == "dv":
+            (gone,) = ends
+            into = None
+            edges = {e for e in edges if gone not in e}
+        else:
+            into, gone = sorted(ends)
+            if frozenset(ends) not in edges:
+                raise NotAnEdge(f"{code} {ends}: no such edge")
+            edges.remove(frozenset(ends))
+            if code == "de":
+                continue
+
+        def rename(x):
+            x = into if x == gone else x
+            return x - 1 if x > gone else x
+
+        edges = {frozenset(map(rename, e)) for e in edges}
+        n -= 1
+    return Graph(n, [tuple(e) for e in edges])
