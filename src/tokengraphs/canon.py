@@ -4,7 +4,10 @@ The search tree refines an ordered partition to equitability, individualizes
 one vertex of the first smallest non-singleton cell, and recurses. Leaves are
 discrete partitions, i.e. labelings. Each tree node carries an invariant (the
 cell-size profile), and a leaf's key is the invariant sequence along its path
-followed by the relabeled edge set; the canonical labeling is the minimum key.
+followed by its certificate, the relabeled edge set packed as graph6 packs an
+upper triangle (`graph6._upper_bits`); the canonical labeling is the minimum
+key. The winning certificate is the canonical form, so the canonical graph6
+string is read off it (`graph6._graph6`), with no relabeled graph built.
 
 Two reference leaves steer pruning: the first leaf reached (kept fixed, for
 automorphism discovery) and the best leaf so far. Subtrees comparing worse
@@ -24,8 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded
-from .graph6 import encode_graph6
-from .graphs import Graph, _bits, _relabeled
+from .graph6 import _graph6, _upper_bits
+from .graphs import Graph, _bits, _relabeled, _renamed
 
 CANON_MAX_N = 1024
 
@@ -85,18 +88,6 @@ def _target_cell(cells: list[int]) -> int:
             if size == 2:
                 break
     return best
-
-
-def _leaf_cert(adj, n: int, labels: list[int]) -> int:
-    """Relabeled edge set as one big int (bit j*(j-1)/2 + i per pair i<j)."""
-    cert = 0
-    for u in range(n):
-        lu = labels[u]
-        for w in _bits(adj[u] >> (u + 1)):
-            lw = labels[u + 1 + w]
-            i, j = (lu, lw) if lu < lw else (lw, lu)
-            cert |= 1 << (j * (j - 1) // 2 + i)
-    return cert
 
 
 class _Search:
@@ -231,7 +222,7 @@ class _Search:
         labels = [0] * self.n
         for label, v in enumerate(vert):
             labels[v] = label
-        cert = _leaf_cert(self.adj, self.n, labels)
+        cert = _upper_bits(_renamed(self.adj, range(self.n), labels))
         if self.first_cert is None:
             self.first_invs = list(self._invs)
             self.first_cert = cert
@@ -269,23 +260,22 @@ def canonical_form(g: Graph) -> CanonicalForm:
     the automorphisms the search found (see `_Search.automorphism_order`).
     """
     search = _search(g)
-    labels = search.best_labels
     return CanonicalForm(
-        graph6=encode_graph6(_relabeled(g, labels)),
-        permutation=labels,
+        graph6=_graph6(g.n, search.best_cert),
+        permutation=search.best_labels,
         automorphism_order=search.automorphism_order(),
     )
 
 
 def canonical_graph6(g: Graph) -> str:
     """Canonical graph6 string only (computes no orbits)."""
-    return encode_graph6(_relabeled(g, _search(g).best_labels))
+    return _graph6(g.n, _search(g).best_cert)
 
 
 def canonical_data(g: Graph):
     """(canonical graph6, permutation, automorphism generators) in one search."""
     search = _search(g)
-    return encode_graph6(_relabeled(g, search.best_labels)), search.best_labels, search.gens
+    return _graph6(g.n, search.best_cert), search.best_labels, search.gens
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -8,12 +8,20 @@ column by column: (0,1), (0,2), (1,2), (0,3), ... packed into 6-bit groups
 
 from __future__ import annotations
 
+import base64
+
 from .errors import MalformedGraph6
 from .graphs import Graph
 
 
 # the wide order fields: t tildes, then 3t bytes of n, for n up to the bound
 _WIDE_ORDERS = ((1, 258047), (2, 68719476735))
+
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def _encode_n(n: int) -> list[int]:
@@ -26,23 +34,25 @@ def _encode_n(n: int) -> list[int]:
     raise ValueError(f"graph6 cannot encode n = {n}")
 
 
+def _upper_bits(adj) -> int:
+    """The edges ij, i < j, of rows `adj` as one int: bit j*(j-1)/2 + i per edge."""
+    return sum((row & ((1 << j) - 1)) << (j * (j - 1) // 2) for j, row in enumerate(adj))
+
+
+def _graph6(n: int, bits: int) -> str:
+    """graph6 of order `n` whose upper triangle is `bits` (see `_upper_bits`)."""
+    nbits = n * (n - 1) // 2
+    # bytes whose bits, read most significant first, are bits 0, 1, 2, ... of
+    # `bits`: base64 cuts them into 6-bit groups as graph6 does, so only the
+    # alphabet differs; whole 3-byte blocks keep '=' padding out of it
+    stream = bits.to_bytes((nbits + 23) // 24 * 3, "little").translate(_REVERSED_BYTE)
+    groups = base64.b64encode(stream)[: (nbits + 5) // 6].translate(_BASE64_TO_GRAPH6)
+    return bytes(_encode_n(n)).decode() + groups.decode()
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a single graph6 line (no trailing newline)."""
-    out = _encode_n(g.n)
-    group = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g._adj[j]
-        for i in range(j):
-            group = (group << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return "".join(chr(b) for b in out)
+    return _graph6(g.n, _upper_bits(g._adj))
 
 
 def decode_graph6(text: str | bytes) -> Graph:

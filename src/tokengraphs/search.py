@@ -60,12 +60,12 @@ GENERATOR_MAX_N = 14
 # canonical-form growth
 
 
-def _dedup(graphs, key) -> list[Graph]:
-    """The first graph of each `key` class, in order of appearance."""
+def _dedup(graphs) -> list[Graph]:
+    """The first graph of each isomorphism class, in order of appearance."""
     seen: set[str] = set()
     out = []
     for g in graphs:
-        label = key(g)
+        label = canonical_graph6(g)
         if label not in seen:
             seen.add(label)
             out.append(g)
@@ -127,7 +127,7 @@ def _grow(level, connected: bool) -> list[Graph]:
     next level still appears: a deletable edge of maximum invariant is the
     new edge of a child of the representative of its deletion's class.
     """
-    return _dedup(_accepted_children(level, connected), canonical_graph6)
+    return _dedup(_accepted_children(level, connected))
 
 
 def _trees(n: int) -> list[Graph]:
@@ -256,7 +256,7 @@ def _read_levels(path: str, orders) -> dict[tuple[int, int], list[Graph]]:
 def connected_graphs(n: int, m: int, *, from_file: str | None = None):
     """Stream one representative per isomorphism class of connected (n, m)-graphs."""
     if from_file is not None:
-        yield from _dedup(_read_levels(from_file, {n}).get((n, m), ()), canonical_graph6)
+        yield from _dedup(_read_levels(from_file, {n}).get((n, m), ()))
         return
     if m == n - 1 and 0 < n <= GENERATOR_MAX_N:
         yield from _trees(n)
@@ -336,8 +336,8 @@ def edge_maximal_search(
     Follows the ascending (n, m) protocol; see the module docstring for the
     pruned/verbatim distinction. The search runs in the calling process. A
     wall-clock `budget_secs` turns the report partial rather than raising; a
-    NaN or infinite one raises `TokenGraphError`, and an empty `n_range`
-    raises `BadK`.
+    negative, NaN or infinite one raises `TokenGraphError`, and an empty
+    `n_range` raises `BadK`.
     """
     if k < 2:
         raise BadK(f"the search is defined for k >= 2, got k={k}")
@@ -355,9 +355,9 @@ def edge_maximal_search(
                 f"built-in generation is capped at n <= {GENERATOR_MAX_N}; "
                 "pass from_file=... to search larger orders"
             )
-    if budget_secs is not None and not math.isfinite(budget_secs):
+    if budget_secs is not None and not (math.isfinite(budget_secs) and budget_secs >= 0):
         raise TokenGraphError(
-            f"the search budget must be a finite number of seconds, got {budget_secs}"
+            f"the search budget must be a finite number of seconds >= 0, got {budget_secs}"
         )
     mode = "file" if from_file is not None else ("pruned" if prune else "verbatim")
     start = time.monotonic()
@@ -394,7 +394,7 @@ def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) ->
         if time.monotonic() > deadline:
             return True
         if mode == "file":
-            level = _dedup(levels.get((n, m), ()), canonical_graph6)
+            level = _dedup(levels.get((n, m), ()))
         elif m == n - 1:
             level = _trees(n)
         else:

@@ -169,6 +169,28 @@ def test_generators_are_automorphisms():
             assert relabeled(g, perm) == g
 
 
+def test_canonical_strings_build_no_graph(monkeypatch):
+    """The string is read off the search's best certificate, not re-encoded.
+
+    The graph is asymmetric, so the search finds no automorphism to check
+    by relabelling either.
+    """
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
+    want = encode_graph6(canonical_graph(g))
+    built = []
+    from_adj = Graph._from_adj
+
+    def counted(adj, m=None):
+        built.append(len(adj))
+        return from_adj(adj, m)
+
+    monkeypatch.setattr(Graph, "_from_adj", staticmethod(counted))
+    form = canonical_form(g)
+    assert form.automorphism_order == 1
+    assert canonical_graph6(g) == form.graph6 == canonical_data(g)[0] == want
+    assert built == []
+
+
 def test_iso_between_different_representations():
     # the octahedron is the 2-token graph of K_4 and also K_{2,2,2}
     assert are_isomorphic(octahedron_graph(), decode_graph6("E}lw"))

@@ -241,7 +241,7 @@ def test_search_n_min_zero_is_not_ignored(capsys):
 
 
 def test_search_rejects_a_non_finite_budget(capsys):
-    for budget in ("nan", "inf"):
+    for budget in ("nan", "inf", "-5"):
         code, out, err = run(capsys, "search", "-k", "2", "--n-max", "5", "--budget-secs", budget)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "finite" in err

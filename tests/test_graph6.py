@@ -5,6 +5,7 @@ import pytest
 from tokengraphs import (
     Graph,
     MalformedGraph6,
+    build_token_graph,
     complete_graph,
     decode_graph6,
     empty_graph,
@@ -13,7 +14,7 @@ from tokengraphs import (
     path_graph,
 )
 
-from util import random_graph
+from util import random_graph, reference_graph6
 
 
 def test_known_small_encodings():
@@ -41,6 +42,24 @@ def test_round_trip_long_order_header():
         text = encode_graph6(g)
         assert text.startswith("~")
         assert decode_graph6(text) == g
+
+
+def test_encoding_matches_the_pair_by_pair_definition():
+    """Every order up to 80, across the header switch at 62/63."""
+    rng = random.Random(608)
+    for n in range(81):
+        for p in (0.0, rng.random(), 1.0):
+            g = random_graph(rng, n, p)
+            assert encode_graph6(g) == reference_graph6(g)
+
+
+def test_round_trip_of_a_large_token_graph():
+    """F_6(K_12): 924 vertices, a wide header and 426,426 edge bits."""
+    g = build_token_graph(complete_graph(12), 6).graph
+    text = encode_graph6(g)
+    assert g.n == 924 and text.startswith("~")
+    assert text == reference_graph6(g)
+    assert decode_graph6(text) == g
 
 
 def test_decode_accepts_bytes_newline_and_header():

@@ -372,7 +372,7 @@ def test_budget_flag_yields_partial_reports():
 
 
 def test_non_finite_budget_is_rejected():
-    for budget in (float("nan"), float("inf"), float("-inf")):
+    for budget in (float("nan"), float("inf"), float("-inf"), -1.0):
         with pytest.raises(TokenGraphError):
             edge_maximal_search(2, range(5, 6), budget_secs=budget)
 

@@ -44,6 +44,22 @@ def shuffled(rng: random.Random, g: Graph) -> Graph:
     return relabeled(g, perm)
 
 
+def reference_graph6(g: Graph) -> str:
+    """graph6 written pair by pair from the format's definition, for n <= 258047.
+
+    The order field is n + 63 for n <= 62, else '~' and n in three 6-bit
+    bytes. The edge bits x(0,1), x(0,2), x(1,2), x(0,3), ... follow, padded
+    with zeros to a multiple of six and written six at a time, first bit most
+    significant, each group as 63 plus its value.
+    """
+    n = g.n
+    head = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    bits = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    groups = [int("".join(map(str, bits[t : t + 6])), 2) for t in range(0, len(bits), 6)]
+    return "".join(chr(63 + x) for x in head + groups)
+
+
 def brute_token_edges(g: Graph, k: int):
     """Token-graph edge list computed from first principles.
 
