@@ -4,6 +4,12 @@ Header: n+63 for n <= 62; '~' plus three 6-bit bytes for n <= 258047;
 '~~' plus six 6-bit bytes beyond that. Edge bits walk the upper triangle
 column by column: (0,1), (0,2), (1,2), (0,3), ... packed into 6-bit groups
 (first bit is the most significant), each group offset by 63, zero-padded.
+
+Both directions pass the upper triangle through base64 as one byte stream
+(bit t of `_upper_bits` is bit t of the stream read little-endian, each byte
+bit-reversed) with the alphabet shifted: encoding is `_graph6`, and decoding
+is `_parse`, which checks a line and undoes `_graph6`, then `_unpack`, which
+undoes `_upper_bits` one column at a time.
 """
 
 from __future__ import annotations
@@ -11,17 +17,17 @@ from __future__ import annotations
 import base64
 
 from .errors import MalformedGraph6
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 # the wide order fields: t tildes, then 3t bytes of n, for n up to the bound
 _WIDE_ORDERS = ((1, 258047), (2, 68719476735))
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6_ALPHABET = bytes(range(63, 127))  # '?' .. '~', the 6-bit values plus 63
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64_ALPHABET, _GRAPH6_ALPHABET)
+_GRAPH6_TO_BASE64 = bytes.maketrans(_GRAPH6_ALPHABET, _BASE64_ALPHABET)
 
 
 def _encode_n(n: int) -> list[int]:
@@ -55,39 +61,35 @@ def encode_graph6(g: Graph) -> str:
     return _graph6(g.n, _upper_bits(g._adj))
 
 
-def decode_graph6(text: str | bytes) -> Graph:
-    """Decode one graph6 line; raises MalformedGraph6 with a byte offset."""
+def _parse(text: str | bytes) -> tuple[int, int, bytes]:
+    """Check one graph6 line and undo `_graph6`: its order, edge count and packed edge bits.
+
+    Read little-endian, bit t of the returned stream is bit t of `_upper_bits`.
+    Raises MalformedGraph6 with a byte offset.
+    """
     header = b">>graph6<<"
-    if isinstance(text, bytes):
-        data = text
-    else:
+    data = text
+    if isinstance(text, str):
         try:
             data = text.encode("ascii")
         except UnicodeEncodeError as exc:
             skip = len(header) if text.startswith(header.decode()) else 0
-            raise MalformedGraph6(
-                f"character {text[exc.start]!r} is not ASCII", exc.start - skip
-            ) from None
-    data = data.rstrip(b"\r\n")
-    if data.startswith(header):
-        data = data[len(header):]
+            message = f"character {text[exc.start]!r} is not ASCII"
+            raise MalformedGraph6(message, exc.start - skip) from None
+    data = data.rstrip(b"\r\n").removeprefix(header)
     if not data:
         raise MalformedGraph6("empty input", 0)
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise MalformedGraph6(f"byte {b!r} outside graph6 range", i)
+    stray = data.translate(None, _GRAPH6_ALPHABET)
+    if stray:
+        raise MalformedGraph6(f"byte {stray[0]!r} outside graph6 range", data.index(stray[0]))
 
-    if data[0] == 126:
-        tildes = 2 if data[1:2] == b"~" else 1
-        pos = 4 * tildes  # the tildes and 3 bytes of n per tilde
-        if len(data) < pos:
-            raise MalformedGraph6(f"truncated {pos}-byte order field", len(data))
-        n = 0
-        for b in data[tildes:pos]:
-            n = (n << 6) | (b - 63)
-    else:
-        n = data[0] - 63
-        pos = 1
+    tildes = 2 if data.startswith(b"~~") else 1 if data.startswith(b"~") else 0
+    pos = max(1, 4 * tildes)  # the order byte, or the tildes and 3 bytes of n per tilde
+    if len(data) < pos:
+        raise MalformedGraph6(f"truncated {pos}-byte order field", len(data))
+    n = 0
+    for b in data[tildes:pos]:
+        n = (n << 6) | (b - 63)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -96,30 +98,52 @@ def decode_graph6(text: str | bytes) -> Graph:
             f"expected {nbytes} edge bytes for n = {n}, got {len(data) - pos}",
             min(len(data), pos + nbytes),
         )
+    if nbytes and (data[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise MalformedGraph6("nonzero padding bits", pos + nbytes - 1)
+    # the edge bytes, padded with zero groups ('?') to whole 4-byte blocks;
+    # rebinding `data` frees a line encoded here before the next copy is made
+    data = b"".join((memoryview(data)[pos:], b"?" * (-nbytes % 4)))
+    stream = base64.b64decode(data.translate(_GRAPH6_TO_BASE64)).translate(_REVERSED_BYTE)
+    return n, int.from_bytes(stream, "little").bit_count(), stream
 
+
+def _unpack(n: int, stream: bytes) -> list[int]:
+    """The adjacency rows of order `n` whose upper triangle is `stream`; inverse of `_upper_bits`.
+
+    Column j, the edges ij with i < j, is the next j bits of the stream and
+    the low part of row j. The bits are read through a window a few columns
+    wide, refilled a column's width of bytes at a time, so no shift touches
+    the whole stream.
+    """
     adj = [0] * n
-    i, j = 0, 1
-    done = 0
-    for off in range(nbytes):
-        group = data[pos + off] - 63
-        take = min(6, nbits - done)
-        if take < 6 and group & ((1 << (6 - take)) - 1):
-            raise MalformedGraph6("nonzero padding bits", pos + off)
-        for t in range(take):
-            if group >> (5 - t) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            i += 1
-            if i == j:
-                i = 0
-                j += 1
-        done += take
-    return Graph._from_adj(adj)
+    window = ahead = pos = 0  # `window` holds the `ahead` unread bits before byte `pos`
+    for j in range(1, n):
+        if ahead < j:
+            window |= int.from_bytes(stream[pos : pos + j], "little") << ahead
+            ahead += 8 * j
+            pos += j
+        adj[j] = col = window & ((1 << j) - 1)
+        window >>= j
+        ahead -= j
+        for i in _bits(col):
+            adj[i] |= 1 << j
+    return adj
+
+
+def decode_graph6(text: str | bytes) -> Graph:
+    """Decode one graph6 line; raises MalformedGraph6 with a byte offset."""
+    n, m, stream = _parse(text)
+    return Graph._from_adj(_unpack(n, stream), m)
+
+
+def _lines(text: str):
+    """The non-blank lines of a multi-line graph6 string, stripped."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line:
+            yield line
 
 
 def iter_graph6(text: str):
     """Yield graphs from a multi-line graph6 string, skipping blank lines."""
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            yield decode_graph6(line)
+    return map(decode_graph6, _lines(text))

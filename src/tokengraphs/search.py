@@ -21,16 +21,18 @@ of that edge is a copy of H that passes the test.
 The search walks m upward from n-1 per order n, keeps the graphs whose
 k-token graphs are planar (`token_planarity`, which rejects by the token
 graph's edge count, then by the paper's lemmas, before building it), and
-stops at the first m with no survivor. Planarity of token graphs only ever degrades when edges are added
-to the base, so every survivor at level m is a child of a survivor at level
-m - 1 (its canonical deletion among them), and a survivor is edge-maximal iff
-no survivor of level m + 1 loses an edge to it. The two modes differ only in
-which level they grow from: "pruned" mode (the default) grows from the
-previous level's survivors, "verbatim" mode from the whole previous level,
-which cross-checks the pruning. "file" mode reads each level from a graph6
-stream instead of growing it; each level there must be complete, as
-`geng -c` writes it. One search generates the trees of each order and
-decodes its graph6 stream only once.
+stops at the first m with no survivor. Planarity of token graphs only ever
+degrades when edges are added to the base, so every survivor at level m is
+a child of a survivor at level m - 1 (its canonical deletion among them),
+and a survivor is edge-maximal iff no survivor of level m + 1 loses an edge
+to it. The two modes differ only in which level they grow from: "pruned"
+mode (the default) grows from the previous level's survivors, "verbatim"
+mode from the whole previous level, which cross-checks the pruning. "file"
+mode reads each level from a graph6 stream instead of growing it; each
+level there must be complete, as `geng -c` writes it. One search generates
+the trees of each order once, and reads and checks its graph6 stream once:
+each line stays packed by (n, m) until the search reaches its level, and
+the levels above a stop are never unpacked.
 
 `GENERATOR_MAX_N` caps the trees, `graph_classes` and verbatim mode; the
 budget is checked only between levels, so the cap bounds the tree level
@@ -48,7 +50,7 @@ from itertools import count
 
 from .canon import canonical_graph6
 from .errors import BadK, SizeLimitExceeded, TokenGraphError
-from .graph6 import iter_graph6
+from .graph6 import _lines, _parse, _unpack
 from .graphs import Graph, _bits, empty_graph
 from .planarity import token_planarity
 from .tokens import _check_interior_k
@@ -239,24 +241,33 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     return level
 
 
-def _read_levels(path: str, orders) -> dict[tuple[int, int], list[Graph]]:
-    """The connected graphs of a graph6 file with an order in `orders`, by (n, m).
+def _read_levels(path: str, orders) -> dict[tuple[int, int], list[bytes]]:
+    """The lines of a graph6 file with an order in `orders`, checked and kept packed, by (n, m).
 
-    Each bucket keeps the file's order and duplicates.
+    Every line is checked here, so a malformed one fails before any search;
+    each bucket keeps the file's order and duplicates, and `_file_level`
+    unpacks it when the search reaches it.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    levels: dict[tuple[int, int], list[Graph]] = {}
-    for g in iter_graph6(text):
-        if g.n in orders and g.is_connected():
-            levels.setdefault((g.n, g.m), []).append(g)
+    levels: dict[tuple[int, int], list[bytes]] = {}
+    for line in _lines(text):
+        n, m, stream = _parse(line)
+        if n in orders:
+            levels.setdefault((n, m), []).append(stream)
     return levels
+
+
+def _file_level(levels, n: int, m: int) -> list[Graph]:
+    """One graph per class of the connected (n, m)-graphs of a file read by `_read_levels`."""
+    graphs = (Graph._from_adj(_unpack(n, stream), m) for stream in levels.get((n, m), ()))
+    return _dedup(g for g in graphs if g.is_connected())
 
 
 def connected_graphs(n: int, m: int, *, from_file: str | None = None):
     """Stream one representative per isomorphism class of connected (n, m)-graphs."""
     if from_file is not None:
-        yield from _dedup(_read_levels(from_file, {n}).get((n, m), ()))
+        yield from _file_level(_read_levels(from_file, {n}), n, m)
         return
     if m == n - 1 and 0 < n <= GENERATOR_MAX_N:
         yield from _trees(n)
@@ -394,7 +405,7 @@ def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) ->
         if time.monotonic() > deadline:
             return True
         if mode == "file":
-            level = _dedup(levels.get((n, m), ()))
+            level = _file_level(levels, n, m)
         elif m == n - 1:
             level = _trees(n)
         else:

@@ -11,10 +11,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
-from .errors import IndexOutOfRange, SizeLimitExceeded
+from .errors import IndexOutOfRange
 from .graphs import _bits, _mask
-
-CODEC_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -53,18 +51,14 @@ class KSubset:
 class SubsetCodec:
     """Bijective rank/unrank for the k-subsets of {0..n-1} in colex order."""
 
-    __slots__ = ("n", "k", "size", "_comb")
+    __slots__ = ("n", "k", "size")
 
     def __init__(self, n: int, k: int):
         if n < 0 or not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-        if n > CODEC_MAX_N:
-            raise SizeLimitExceeded(f"codec capped at n <= {CODEC_MAX_N}, got {n}")
         self.n = n
         self.k = k
         self.size = comb(n, k)
-        # _comb[c][i] = C(c, i) for 0 <= c <= n, 0 <= i <= k
-        self._comb = [[comb(c, i) for i in range(k + 1)] for c in range(n + 1)]
 
     def masks(self) -> Iterator[int]:
         """Yield every k-subset as a bitmask, in rank order.
@@ -92,8 +86,7 @@ class SubsetCodec:
 
     def rank_mask(self, mask: int) -> int:
         """Colex rank of a subset given as a bitmask."""
-        cmb = self._comb
-        return sum(cmb[v][i] for i, v in enumerate(_bits(mask), 1))
+        return sum(comb(v, i) for i, v in enumerate(_bits(mask), 1))
 
     def unrank(self, r: int) -> KSubset:
         """The subset of colex rank r, as a KSubset (see `unrank_mask`)."""
@@ -102,13 +95,12 @@ class SubsetCodec:
     def unrank_mask(self, r: int) -> int:
         if not 0 <= r < self.size:
             raise IndexOutOfRange(f"rank {r} outside 0..{self.size - 1}")
-        cmb = self._comb
         mask = 0
         c = self.n
         for i in range(self.k, 0, -1):
             c -= 1
-            while cmb[c][i] > r:
+            while comb(c, i) > r:
                 c -= 1
             mask |= 1 << c
-            r -= cmb[c][i]
+            r -= comb(c, i)
         return mask

@@ -14,7 +14,9 @@ from tokengraphs import (
     path_graph,
 )
 
-from util import random_graph, reference_graph6
+from tokengraphs.graph6 import _parse, _unpack, _upper_bits
+
+from util import random_graph, reference_decode, reference_graph6
 
 
 def test_known_small_encodings():
@@ -53,13 +55,32 @@ def test_encoding_matches_the_pair_by_pair_definition():
             assert encode_graph6(g) == reference_graph6(g)
 
 
+def check_decode(g, text):
+    """`text` decodes to g, as the pair-by-pair reference reads it, via `_upper_bits`'s bits."""
+    assert reference_decode(text) == g
+    decoded = decode_graph6(text)
+    assert decoded == g and decoded.m == g.m
+    n, m, stream = _parse(text)
+    assert (n, m) == (g.n, g.m) and int.from_bytes(stream, "little") == _upper_bits(g._adj)
+    assert _unpack(n, stream) == list(g._adj)
+
+
+def test_decoding_matches_the_pair_by_pair_definition():
+    """Every order up to 80, across the header switch at 62/63."""
+    rng = random.Random(609)
+    for n in range(81):
+        for p in (0.0, rng.random(), rng.random(), 1.0):
+            g = random_graph(rng, n, p)
+            check_decode(g, reference_graph6(g))
+
+
 def test_round_trip_of_a_large_token_graph():
     """F_6(K_12): 924 vertices, a wide header and 426,426 edge bits."""
     g = build_token_graph(complete_graph(12), 6).graph
     text = encode_graph6(g)
     assert g.n == 924 and text.startswith("~")
     assert text == reference_graph6(g)
-    assert decode_graph6(text) == g
+    check_decode(g, text)
 
 
 def test_decode_accepts_bytes_newline_and_header():
@@ -71,21 +92,26 @@ def test_decode_accepts_bytes_newline_and_header():
     assert decode_graph6(">>graph6<<" + text) == g
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "\n",
-        "C",  # truncated edge bytes for n = 4
-        "C~~",  # extra edge byte
-        "C" + chr(30),  # byte below the printable range
-        "~C",  # truncated long order header
-        "B" + chr(63 + 1),  # n = 3 needs zero padding in the low bits
-    ],
-)
-def test_malformed_inputs_rejected(bad):
-    with pytest.raises(MalformedGraph6):
+MALFORMED = [  # input, message, offset
+    ("", "empty input", 0),
+    ("\n", "empty input", 0),
+    ("C", "expected 1 edge bytes for n = 4, got 0", 1),  # truncated edge bytes
+    ("C~~", "expected 1 edge bytes for n = 4, got 2", 2),  # extra edge byte
+    ("C" + chr(30), "byte 30 outside graph6 range", 1),  # below the printable range
+    ("~C", "truncated 4-byte order field", 2),  # truncated long order header
+    ("~??", "truncated 4-byte order field", 3),
+    ("~~?", "truncated 8-byte order field", 3),
+    ("B@", "nonzero padding bits", 1),  # n = 3 needs zero padding in the low bits
+    ("B{", "nonzero padding bits", 1),
+]
+
+
+@pytest.mark.parametrize("bad, message, offset", MALFORMED, ids=[bad for bad, _, _ in MALFORMED])
+def test_malformed_inputs_rejected(bad, message, offset):
+    with pytest.raises(MalformedGraph6) as info:
         decode_graph6(bad)
+    assert str(info.value) == f"{message} (byte {offset})"
+    assert info.value.offset == offset
 
 
 def test_malformed_error_carries_offset():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from tokengraphs import (
     edge_maximal_search,
     encode_graph6,
     graph_classes,
+    iter_graph6,
     path_graph,
     verify_maximality,
 )
@@ -394,18 +396,37 @@ def test_importing_the_package_starts_no_process_machinery():
 def test_file_mode_reads_its_stream_once(tmp_path, monkeypatch):
     levels = write_complete_levels(tmp_path / "levels.g6", (5, 6, 7))
     passes = []
-    decode = tokengraphs.search.iter_graph6
+    read = tokengraphs.search._read_levels
 
-    def counting(text):
-        passes.append(len(text))
-        return decode(text)
+    def counting(path, orders):
+        passes.append(path)
+        return read(path, orders)
 
-    monkeypatch.setattr(tokengraphs.search, "iter_graph6", counting)
+    monkeypatch.setattr(tokengraphs.search, "_read_levels", counting)
     report = edge_maximal_search(2, range(5, 8), from_file=levels)
     assert len(passes) == 1
     assert len(report.entries) > 3  # many levels, one pass
     verbatim = edge_maximal_search(2, range(5, 8), prune=False)
     assert report.maximal == verbatim.maximal
+
+
+def test_file_mode_unpacks_only_the_levels_it_reaches(tmp_path, monkeypatch):
+    """Lines stay packed until the search reaches their level, and above its stop never unpack."""
+    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6, 7))
+    unpacked = Counter()
+    unpack = tokengraphs.search._unpack
+
+    def counting(n, stream):
+        adj = unpack(n, stream)
+        unpacked[n, sum(row.bit_count() for row in adj) // 2] += 1
+        return adj
+
+    monkeypatch.setattr(tokengraphs.search, "_unpack", counting)
+    report = edge_maximal_search(2, range(5, 8), from_file=levels)
+    lines = Counter((g.n, g.m) for g in iter_graph6(Path(levels).read_text()))
+    reached = {(n, m): c for (n, m), c in lines.items() if m <= report.stopped_at[n]}
+    assert unpacked == reached
+    assert sum(reached.values()) < sum(lines.values())
 
 
 def test_search_grows_the_trees_once(monkeypatch):

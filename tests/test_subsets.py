@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from tokengraphs import IndexOutOfRange, KSubset, SizeLimitExceeded, SubsetCodec
+from tokengraphs import IndexOutOfRange, KSubset, SubsetCodec, build_token_graph, path_graph
 
 
 def colex_sorted(n, k):
@@ -69,8 +69,14 @@ def test_codec_argument_validation():
         SubsetCodec(4, 5)
     with pytest.raises(ValueError):
         SubsetCodec(-1, 0)
-    with pytest.raises(SizeLimitExceeded):
-        SubsetCodec(65, 2)
+
+
+def test_codec_has_no_order_cap():
+    """F_1(P_70) is P_70 itself, token vertex i being the subset {i}."""
+    tg = build_token_graph(path_graph(70), 1)
+    assert tg.graph == path_graph(70)
+    assert [tg.subset_of(i).members for i in (0, 64, 69)] == [(0,), (64,), (69,)]
+    assert tg.vertex_of([69]) == 69
 
 
 def test_ksubset_validation():

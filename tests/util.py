@@ -60,6 +60,29 @@ def reference_graph6(g: Graph) -> str:
     return "".join(chr(63 + x) for x in head + groups)
 
 
+def reference_decode(text: str) -> Graph:
+    """A graph6 line decoded pair by pair from the format's definition.
+
+    The order field is one byte n + 63, or '~' and n in three 6-bit bytes, or
+    '~~' and n in six, each byte 63 plus its value. Each later byte, less 63,
+    holds six edge bits, most significant first, for the pairs (0,1), (0,2),
+    (1,2), (0,3), ... in turn; the bits past the last pair are padding.
+    """
+    values = [ord(c) - 63 for c in text]
+    if values[0] < 63:
+        field, groups = values[:1], values[1:]
+    elif values[1] < 63:
+        field, groups = values[1:4], values[4:]
+    else:
+        field, groups = values[2:8], values[8:]
+    n = 0
+    for x in field:
+        n = 64 * n + x
+    bits = [x >> (5 - t) & 1 for x in groups for t in range(6)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
+
+
 def brute_token_edges(g: Graph, k: int):
     """Token-graph edge list computed from first principles.
 
