@@ -14,6 +14,10 @@ automorphism discovery) and the best leaf so far. Subtrees comparing worse
 than the best and diverging from the first path are cut. Leaves matching a
 reference certificate yield automorphisms, which prune sibling branches whose
 individualized vertices are equivalent under generators fixing the path.
+Before the search starts, the swaps of twin vertices (same open or same
+closed neighbourhood) are seeded as generators, since they are known
+automorphisms (McKay & Piperno 2014): on the edgeless E_n the search then
+walks one path of n nodes to a single leaf.
 
 The search also fixes |Aut| (McKay 1981; McKay & Piperno 2014): by
 orbit-stabiliser along the first path, it is the product over the path's
@@ -49,14 +53,32 @@ def _refine(adj, cells: list[int], queue: deque) -> None:
 
     New cells keep creation order as their id; every fragment is re-queued,
     so the result is equitable. Counts are label-free, which keeps the
-    refinement invariant under relabeling.
+    refinement invariant under relabeling. A cell with no neighbour in the
+    splitter has count 0 throughout and is skipped; against a one-vertex
+    splitter {s} the counts are 0 and 1, so a cell splits into
+    `cell & ~adj[s]`, kept in place, and `cell & adj[s]`, appended, in one
+    mask step.
     """
     while queue:
         smask = cells[queue.popleft()]
         ncells = len(cells)
+        if smask & (smask - 1) == 0 and smask:
+            near = adj[smask.bit_length() - 1]
+            for c in range(ncells):
+                cmask = cells[c]
+                hit = cmask & near
+                if hit and hit != cmask:
+                    cells[c] = cmask ^ hit
+                    queue.append(c)
+                    queue.append(len(cells))
+                    cells.append(hit)
+            continue
+        near = 0
+        for s in _bits(smask):
+            near |= adj[s]
         for c in range(ncells):
             cmask = cells[c]
-            if cmask.bit_count() <= 1:
+            if cmask & (cmask - 1) == 0 or not cmask & near:
                 continue
             buckets: dict[int, int] = {}
             mm = cmask
@@ -109,17 +131,35 @@ class _Search:
         self._invs: list = []
 
     def run(self):
-        n = self.n
-        cells = [(1 << n) - 1]
-        _refine(self.adj, cells, deque([0]))
+        """Seed the twin swaps as generators, then search from the refined unit partition.
+
+        Vertices with the same open neighbourhood, or the same closed one,
+        are twins, and swapping two twins is an automorphism. Each class of
+        twins v0 < v1 < ... gives the chain (v0 v1), (v1 v2), ...: the first
+        path individualizes the lowest vertex first, and the chain's later
+        swaps fix it, so they keep pruning below it (a star (v0 vi) would fix
+        no prefix).
+        """
+        adj = self.adj
+        for closed in (0, 1):
+            last: dict[int, int] = {}  # neighbourhood -> the latest vertex with it
+            for v, row in enumerate(adj):
+                key = row | closed << v
+                u = last.get(key)
+                if u is not None:
+                    swap = list(self._identity)
+                    swap[u], swap[v] = v, u
+                    self._add_automorphism(tuple(swap))
+                last[key] = v
+        cells = [(1 << self.n) - 1]
+        _refine(adj, cells, deque([0]))
         self._node(cells, (), True)
 
-    def _add_automorphism(self, labels, ref_vert):
-        perm = tuple(ref_vert[labels[v]] for v in range(self.n))
+    def _add_automorphism(self, perm):
         if perm == self._identity or perm in self._gen_keys:
             return
         if _relabeled(self.g, perm)._adj != self.adj:
-            raise RuntimeError("internal error: refinement produced a non-automorphism")
+            raise RuntimeError("internal error: a generator is not an automorphism")
         self._gen_keys.add(perm)
         self.gens.append(perm)
 
@@ -228,7 +268,7 @@ class _Search:
             self.first_cert = cert
             self.first_path = prefix
         elif first_eq and cert == self.first_cert:
-            self._add_automorphism(labels, self.first_vert)
+            self._add_automorphism(tuple(self.first_vert[label] for label in labels))
         # the first leaf always compares better: there is no best leaf yet
         if best_state == _BETTER or (best_state == _EQ and cert < self.best_cert):
             if self.first_vert is None:
@@ -238,7 +278,7 @@ class _Search:
             self.best_labels = tuple(labels)
             self.best_vert = vert
         elif best_state == _EQ and cert == self.best_cert:
-            self._add_automorphism(labels, self.best_vert)
+            self._add_automorphism(tuple(self.best_vert[label] for label in labels))
 
 
 def _search(g: Graph) -> _Search:
@@ -273,7 +313,12 @@ def canonical_graph6(g: Graph) -> str:
 
 
 def canonical_data(g: Graph):
-    """(canonical graph6, permutation, automorphism generators) in one search."""
+    """(canonical graph6, permutation, automorphism generators) in one search.
+
+    The generators are the seeded twin swaps, then the automorphisms the
+    search found; together they generate Aut(g), which is how
+    `_Search.automorphism_order` counts it.
+    """
     search = _search(g)
     return _graph6(g.n, search.best_cert), search.best_labels, search.gens
 

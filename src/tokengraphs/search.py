@@ -2,17 +2,20 @@
 
 Every level is generated in one way: take the single-edge children of the
 previous level's graphs that pass the canonical-deletion test, and keep one
-graph per canonical form (`canonical_graph6`). The test (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998, with the cheap invariant
-pre-test of `geng`) accepts a child H = G + e only if no deletable edge of H
-has a larger invariant (larger end degree, smaller end degree, common
-neighbours) than e; only accepted children are labelled. In
+graph per canonical form (`canonical_data`, which also returns generators of
+the graph's automorphism group). The test (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998, with the cheap invariant pre-test of
+`geng`) accepts a child H = G + e only if no deletable edge of H has a larger
+invariant (larger end degree, smaller end degree, common neighbours) than e;
+only accepted children are labelled. A parent is grown only from the least
+non-edge of each orbit of its automorphism group, since the other members of
+an orbit give copies of that child, which pass or fail the test with it. In
 `graph_classes(n, m)`, which grows from the empty graph on n vertices, every
 edge is deletable. The search starts from the trees on n vertices, which
 `_trees` generates directly, one per class, as the canonical level sequences
 of the trees rooted at a centre (Wright, Richmond, Odlyzko & McKay, 1986),
-with no labelling and no smaller order; it grows every later level from the
-one before, and there an edge is deletable iff it is not a bridge, so that
+with no smaller order and no labelling until a tree is grown; it grows every
+later level from the one before, and there an edge is deletable iff it is not a bridge, so that
 deleting it leaves a connected graph of the previous level. No class is
 lost: delete from H a deletable edge of maximum invariant; the previous
 level holds the class of the result, and its representative plus the image
@@ -48,7 +51,7 @@ import time
 from dataclasses import dataclass
 from itertools import count
 
-from .canon import canonical_graph6
+from .canon import canonical_data, canonical_graph6
 from .errors import BadK, SizeLimitExceeded, TokenGraphError
 from .graph6 import _lines, _parse, _unpack
 from .graphs import Graph, _bits, empty_graph
@@ -62,15 +65,35 @@ GENERATOR_MAX_N = 14
 # canonical-form growth
 
 
-def _dedup(graphs) -> list[Graph]:
-    """The first graph of each isomorphism class, in order of appearance."""
+@dataclass(slots=True)
+class _Rep:
+    """A class representative with its canonical graph6 string and automorphism generators.
+
+    Both stay None until `labelled` runs one labelling search: `_dedup`
+    labels every graph it keeps, while a tree from `_trees` is labelled only
+    when it is grown, and the maximality check then reads the same label.
+    """
+
+    g: Graph
+    label: str | None = None
+    gens: tuple | None = None  # the shared empty tuple when none was found
+
+    def labelled(self) -> "_Rep":
+        if self.gens is None:
+            self.label, _, gens = canonical_data(self.g)
+            self.gens = tuple(gens)
+        return self
+
+
+def _dedup(graphs) -> list[_Rep]:
+    """The first graph of each isomorphism class, in order of appearance, labelled."""
     seen: set[str] = set()
     out = []
     for g in graphs:
-        label = canonical_graph6(g)
-        if label not in seen:
-            seen.add(label)
-            out.append(g)
+        rep = _Rep(g).labelled()
+        if rep.label not in seen:
+            seen.add(rep.label)
+            out.append(rep)
     return out
 
 
@@ -102,26 +125,60 @@ def _is_canonical_deletion(adj, deg, u: int, v: int, connected: bool) -> bool:
     return True
 
 
-def _accepted_children(level, connected: bool):
-    """The children of `level` that pass the test, by parent and then new edge (u, v)."""
-    for g in level:
+def _orbit_leaders(g: Graph, gens) -> list[tuple[int, int]]:
+    """The least non-edge (u, v), u < v, of each orbit of `gens` on the non-edges, in order.
+
+    Automorphisms map non-edges to non-edges, so an orbit is closed by
+    applying every generator to its members until nothing new appears.
+    """
+    adj = g._adj
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not adj[u] >> v & 1]
+    if not gens:
+        return pairs
+    seen: set[tuple[int, int]] = set()
+    leaders = []
+    for pair in pairs:
+        if pair in seen:
+            continue
+        leaders.append(pair)
+        seen.add(pair)
+        orbit = [pair]
+        for u, v in orbit:  # grows while it is walked
+            for perm in gens:
+                a, b = perm[u], perm[v]
+                image = (a, b) if a < b else (b, a)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+    return leaders
+
+
+def _accepted_children(level: list[_Rep], connected: bool):
+    """The children of `level` that pass the test, by parent and then new edge (u, v).
+
+    A parent's children come one per orbit of its automorphism group on its
+    non-edges, from the orbit's least pair. The test is an isomorphism
+    invariant (degrees, common neighbours, bridges), so an orbit's children
+    pass or fail together, and every child skipped is a copy of an earlier
+    one that `_dedup` would drop. Generators of a mere subgroup of Aut would
+    still be sound: their orbits are finer, so fewer copies are skipped.
+    """
+    for rep in level:
+        g = rep.labelled().g
         deg = g.degrees()
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g._adj[u] >> v & 1:
-                    continue
-                adj = list(g._adj)
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                deg[u] += 1
-                deg[v] += 1
-                if _is_canonical_deletion(adj, deg, u, v, connected):
-                    yield Graph._from_adj(adj)
-                deg[u] -= 1
-                deg[v] -= 1
+        for u, v in _orbit_leaders(g, rep.gens):
+            adj = list(g._adj)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
+            if _is_canonical_deletion(adj, deg, u, v, connected):
+                yield Graph._from_adj(adj)
+            deg[u] -= 1
+            deg[v] -= 1
 
 
-def _grow(level, connected: bool) -> list[Graph]:
+def _grow(level: list[_Rep], connected: bool) -> list[_Rep]:
     """The single-edge children of `level` that pass the canonical-deletion test, one per class.
 
     A child G + e is accepted iff no deletable edge has a larger invariant
@@ -206,16 +263,16 @@ def _level_tree(levels: list[int]) -> Graph:
     return Graph._from_adj(adj, len(levels) - 1)
 
 
-_LEVELS: dict[tuple[int, int], tuple[Graph, ...]] = {}
+_LEVELS: dict[tuple[int, int], tuple[_Rep, ...]] = {}
 
 
 def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of (n, m)-graphs.
 
-    Dense levels are answered by complementing the sparse ones. The middle
-    levels are out of practical reach for n >= 9, up to the cap
-    `GENERATOR_MAX_N`; the package only ever needs small m (or small co-m)
-    there.
+    Dense levels are answered by complementing the sparse ones. Every level
+    of n = 9 (274,668 classes in all) takes about 25 s and 80 MB together,
+    while n = 10 has 12,005,168 classes; the cap is `GENERATOR_MAX_N`, and
+    the package only ever needs small m (or small co-m) there.
     """
     if n < 0 or m < 0:
         return ()
@@ -228,15 +285,23 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     if m > total:
         return ()
     if m > total - m:
-        return tuple(g.complement() for g in graph_classes(n, total - m))
+        return tuple(rep.g.complement() for rep in _sparse_classes(n, total - m))
+    return tuple(rep.g for rep in _sparse_classes(n, m))
+
+
+def _sparse_classes(n: int, m: int) -> tuple[_Rep, ...]:
+    """The classes of (n, m) for m <= C(n, 2) / 2, grown from m - 1 and kept with their generators."""
     key = (n, m)
     hit = _LEVELS.get(key)
     if hit is not None:
         return hit
     if m == 0:
-        level: tuple[Graph, ...] = (empty_graph(n),)
+        level: tuple[_Rep, ...] = (_Rep(empty_graph(n)),)
     else:
-        level = tuple(_grow(graph_classes(n, m - 1), connected=False))
+        below = _sparse_classes(n, m - 1)
+        level = tuple(_grow(below, connected=False))
+        for rep in below:  # level m - 1 is never grown again: keep its graphs only
+            rep.label = rep.gens = None
     _LEVELS[key] = level
     return level
 
@@ -258,7 +323,7 @@ def _read_levels(path: str, orders) -> dict[tuple[int, int], list[bytes]]:
     return levels
 
 
-def _file_level(levels, n: int, m: int) -> list[Graph]:
+def _file_level(levels, n: int, m: int) -> list[_Rep]:
     """One graph per class of the connected (n, m)-graphs of a file read by `_read_levels`."""
     graphs = (Graph._from_adj(_unpack(n, stream), m) for stream in levels.get((n, m), ()))
     return _dedup(g for g in graphs if g.is_connected())
@@ -267,7 +332,8 @@ def _file_level(levels, n: int, m: int) -> list[Graph]:
 def connected_graphs(n: int, m: int, *, from_file: str | None = None):
     """Stream one representative per isomorphism class of connected (n, m)-graphs."""
     if from_file is not None:
-        yield from _file_level(_read_levels(from_file, {n}), n, m)
+        for rep in _file_level(_read_levels(from_file, {n}), n, m):
+            yield rep.g
         return
     if m == n - 1 and 0 < n <= GENERATOR_MAX_N:
         yield from _trees(n)
@@ -399,24 +465,25 @@ def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) ->
     Survivors are reported maximal once the next level is tested; a budget
     cut leaves the pending ones unreported.
     """
-    level: list[Graph] = []
-    pending: list[Graph] = []  # survivors of level m - 1
+    level: list[_Rep] = []
+    pending: list[_Rep] = []  # survivors of level m - 1, labelled when grown or deduplicated
     for m in count(n - 1):
         if time.monotonic() > deadline:
             return True
         if mode == "file":
             level = _file_level(levels, n, m)
         elif m == n - 1:
-            level = _trees(n)
+            level = [_Rep(t) for t in _trees(n)]
         else:
             level = _grow(level, connected=True)
-        survivors = [g for g in level if token_planarity(g, k).planar]
+        survivors = [rep for rep in level if token_planarity(rep.g, k).planar]
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
         if pending:
             # a pending survivor is connected, so only connected deletions can equal one
-            deletions = (t.delete_edge(u, v) for t in survivors for u, v in t.edges())
+            deletions = (t.g.delete_edge(u, v) for t in survivors for u, v in t.g.edges())
             parents = {canonical_graph6(h) for h in deletions if h.is_connected()}
-            maximal.extend(s for s in map(canonical_graph6, pending) if s not in parents)
+            labels = (rep.labelled().label for rep in pending)
+            maximal.extend(s for s in labels if s not in parents)
         if not survivors:
             stopped_at[n] = m
             return False

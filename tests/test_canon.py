@@ -24,6 +24,7 @@ from tokengraphs import (
     petersen_graph,
     star_graph,
 )
+import tokengraphs.canon
 from tokengraphs.canon import canonical_data
 
 from util import brute_isomorphic, random_graph, relabeled, shuffled
@@ -166,6 +167,62 @@ def test_generators_are_automorphisms():
         assert g6 == canonical_graph6(g)
         assert sorted(labels) == list(range(g.n))
         for perm in gens:
+            assert relabeled(g, perm) == g
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_edgeless_graph_walks_one_path(monkeypatch, n):
+    """The seeded twin swaps prune every sibling: n nodes, one leaf, |Aut| = n!."""
+    calls = {"_node": 0, "_leaf": 0}
+    for name in calls:
+        method = getattr(tokengraphs.canon._Search, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(tokengraphs.canon._Search, name, counted)
+    form = canonical_form(empty_graph(n))
+    assert calls == {"_node": n, "_leaf": 1}
+    assert form.graph6 == encode_graph6(empty_graph(n))
+    assert form.automorphism_order == math.factorial(n)
+
+
+def complete_multipartite(*sizes):
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    return Graph(
+        starts[-1],
+        [
+            (u, v)
+            for i, j in combinations(range(len(sizes)), 2)
+            for u in range(starts[i], starts[i + 1])
+            for v in range(starts[j], starts[j + 1])
+        ],
+    )
+
+
+def test_twin_rich_graphs_have_one_form_and_closed_form_aut():
+    f = math.factorial
+    cases = [
+        (empty_graph(0), 1),
+        (empty_graph(1), 1),
+        (star_graph(7), f(6)),
+        (complete_bipartite_graph(3, 5), f(3) * f(5)),
+        (complete_bipartite_graph(4, 4), 2 * f(4) ** 2),
+        (complete_multipartite(2, 2, 3), 2 * f(2) ** 2 * f(3)),
+        (complete_multipartite(1, 3, 3, 3), f(3) * f(3) ** 3),
+        # E_5 plus K_4: the isolated vertices and the clique permute apart
+        (Graph(9, [(u, v) for u, v in combinations(range(5, 9), 2)]), f(5) * f(4)),
+    ]
+    rng = random.Random(40011)
+    for g, aut in cases:
+        form = canonical_form(g)
+        assert form.automorphism_order == aut, encode_graph6(g)
+        for _ in range(20):
+            h = shuffled(rng, g)
+            assert canonical_graph6(h) == form.graph6
+            assert canonical_form(h).automorphism_order == aut
+        for perm in canonical_data(g)[2]:
             assert relabeled(g, perm) == g
 
 

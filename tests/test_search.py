@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import random
@@ -26,9 +28,10 @@ from tokengraphs import (
     graph_classes,
     iter_graph6,
     path_graph,
+    star_graph,
     verify_maximality,
 )
-from tokengraphs.search import _grow, _trees
+from tokengraphs.search import _Rep, _grow, _is_canonical_deletion, _orbit_leaders, _trees
 
 from util import shuffled, tree_code
 
@@ -142,30 +145,95 @@ def test_graph_classes_agree_with_unfiltered_growth():
 def test_connected_levels_agree_with_unfiltered_growth():
     """Growth from the trees with bridges kept keeps every connected class."""
     for n in range(2, 8):
-        grown = _trees(n)
-        level = {canonical_graph6(t): t for t in grown}
+        grown = [_Rep(t) for t in _trees(n)]
+        level = {canonical_graph6(t.g): t.g for t in grown}
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             assert len(grown) == len(level)
-            assert {canonical_graph6(g) for g in grown} == set(level), (n, m)
+            assert {canonical_graph6(r.g) for r in grown} == set(level), (n, m)
             assert set(level) == {canonical_graph6(g) for g in connected_graphs(n, m)}
             grown = _grow(grown, connected=True)
             level = canonical_growth(level.values())
         assert grown == [] and level == {}
 
 
+def every_pair_growth(level, connected):
+    """The children of `level` that pass the canonical-deletion test, trying every
+    non-edge of every parent, one per canonical_graph6 in order of appearance."""
+    seen, out = set(), []
+    for g in level:
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if g.has_edge(u, v):
+                    continue
+                child = g.with_edge(u, v)
+                adj, deg = list(child._adj), child.degrees()
+                if _is_canonical_deletion(adj, deg, u, v, connected):
+                    label = canonical_graph6(child)
+                    if label not in seen:
+                        seen.add(label)
+                        out.append(child)
+    return out
+
+
+def test_orbit_growth_keeps_every_pair_growth_in_order():
+    """One child per automorphism orbit of the parent's non-edges gives the same
+    graphs, in the same order, as trying every non-edge."""
+    for n in range(1, 8):
+        level = [Graph(n)]
+        for m in range(1, n * (n - 1) // 4 + 1):
+            level = every_pair_growth(level, connected=False)
+            assert [g._adj for g in graph_classes(n, m)] == [g._adj for g in level], (n, m)
+    for n in range(2, 9):
+        reps = [_Rep(t) for t in _trees(n)]
+        level = _trees(n)
+        for m in range(n, n * (n - 1) // 2 + 1):
+            reps = _grow(reps, connected=True)
+            level = every_pair_growth(level, connected=True)
+            assert [r.g._adj for r in reps] == [g._adj for g in level], (n, m)
+
+
+def test_orbit_leaders_skip_only_copies():
+    # the star K_{1,4}: every non-edge joins two leaves, one orbit under Aut = S_4
+    star = star_graph(5)
+    assert _orbit_leaders(star, _Rep(star).labelled().gens) == [(1, 2)]
+    # with no generators, every non-edge leads its own orbit
+    path = path_graph(4)
+    assert _orbit_leaders(path, []) == [(0, 2), (0, 3), (1, 3)]
+    assert _orbit_leaders(path, [(3, 2, 1, 0)]) == [(0, 2), (0, 3)]
+
+
+LABELLERS = ("canonical_graph6", "canonical_data")
+
+
+def patch_labellers(monkeypatch, wrap):
+    """Route every labelling the search makes through `wrap(g)` first."""
+    for name in LABELLERS:
+        label = getattr(tokengraphs.search, name)
+
+        def wrapped(g, label=label):
+            wrap(g)
+            return label(g)
+
+        monkeypatch.setattr(tokengraphs.search, name, wrapped)
+
+
+def test_search_labels_through_the_patched_names():
+    names = {
+        node.id
+        for node in ast.walk(ast.parse(inspect.getsource(tokengraphs.search)))
+        if isinstance(node, ast.Name) and node.id.startswith("canonical")
+    }
+    assert names == set(LABELLERS)
+
+
 def test_growth_labels_only_accepted_children(monkeypatch):
     calls = []
-    label = tokengraphs.search.canonical_graph6
-
-    def counting(g):
-        calls.append(g.n)
-        return label(g)
-
-    monkeypatch.setattr(tokengraphs.search, "canonical_graph6", counting)
+    patch_labellers(monkeypatch, lambda g: calls.append(g.n))
     report = edge_maximal_search(2, range(5, 10), prune=False)
     labelled = len(calls)
     monkeypatch.undo()
-    assert labelled < 3000  # every child of every parent would be 11,236
+    # every child of every parent would be 11,236; every accepted child, 2,594
+    assert labelled < 2100
     for e in report.entries:
         assert e.generated == sum(1 for _ in connected_graphs(e.n, e.m))
 
@@ -173,13 +241,11 @@ def test_growth_labels_only_accepted_children(monkeypatch):
 def test_search_labels_only_connected_graphs(monkeypatch, tmp_path):
     """Growth, file levels and maximality never label a disconnected graph."""
     levels = write_complete_levels(tmp_path / "levels.g6", (5, 6))
-    label = tokengraphs.search.canonical_graph6
 
     def connected_only(g):
         assert g.is_connected(), encode_graph6(g)
-        return label(g)
 
-    monkeypatch.setattr(tokengraphs.search, "canonical_graph6", connected_only)
+    patch_labellers(monkeypatch, connected_only)
     for k, lo, hi in ((2, 5, 10), (3, 6, 8), (4, 8, 10)):
         edge_maximal_search(k, range(lo, hi + 1))
     edge_maximal_search(2, range(5, 9), prune=False)
