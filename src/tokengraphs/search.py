@@ -6,10 +6,14 @@ graph per canonical form (`canonical_data`, which also returns generators of
 the graph's automorphism group). The test (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998, with the cheap invariant pre-test of
 `geng`) accepts a child H = G + e only if no deletable edge of H has a larger
-invariant (larger end degree, smaller end degree, common neighbours) than e;
-only accepted children are labelled. A parent is grown only from the least
-non-edge of each orbit of its automorphism group, since the other members of
-an orbit give copies of that child, which pass or fail the test with it. In
+invariant (larger end degree, smaller end degree, common neighbours) than e.
+A parent is grown only from the least non-edge of each orbit of its
+automorphism group, since the other members of an orbit give copies of that
+child, which pass or fail the test with it. When e is the only deletable edge
+of maximum invariant, H is the only accepted copy of its class
+(`_accepted_children` says why), so it is kept unlabelled; only the accepted
+children whose new edge ties there are labelled to drop copies, and a kept
+child is labelled later only if it is grown or checked for maximality. In
 `graph_classes(n, m)`, which grows from the empty graph on n vertices, every
 edge is deletable. The search starts from the trees on n vertices, which
 `_trees` generates directly, one per class, as the canonical level sequences
@@ -69,9 +73,11 @@ GENERATOR_MAX_N = 14
 class _Rep:
     """A class representative with its canonical graph6 string and automorphism generators.
 
-    Both stay None until `labelled` runs one labelling search: `_dedup`
-    labels every graph it keeps, while a tree from `_trees` is labelled only
-    when it is grown, and the maximality check then reads the same label.
+    Both stay None until `labelled` runs one labelling search. `_dedup`
+    labels only the graphs it has to compare; a child that is the only copy
+    of its class, and a tree from `_trees`, are labelled only when grown or
+    checked for maximality, and the maximality check then reads the same
+    label.
     """
 
     g: Graph
@@ -86,26 +92,61 @@ class _Rep:
 
 
 def _dedup(graphs) -> list[_Rep]:
-    """The first graph of each isomorphism class, in order of appearance, labelled."""
+    """The first graph of each isomorphism class, in order of appearance.
+
+    `graphs` yields (graph, unique) pairs. A graph flagged unique is known to
+    be the only one of its class among them, so it is kept unlabelled; every
+    other graph is labelled and kept iff its label is new.
+    """
     seen: set[str] = set()
     out = []
-    for g in graphs:
-        rep = _Rep(g).labelled()
-        if rep.label not in seen:
-            seen.add(rep.label)
-            out.append(rep)
+    for g, unique in graphs:
+        rep = _Rep(g)
+        if not unique:
+            label = rep.labelled().label
+            if label in seen:
+                continue
+            seen.add(label)
+        out.append(rep)
     return out
 
 
-def _is_canonical_deletion(adj, deg, u: int, v: int, connected: bool) -> bool:
-    """True iff no deletable edge beats the new edge (u, v) on the invariant.
+def _on_cycle(adj, a: int, b: int) -> bool:
+    """True iff the edge (a, b) of the rows `adj` lies on a cycle.
+
+    That is, b is reachable from a without the edge: a walk from a's other
+    neighbours that stops as soon as it reaches b.
+    """
+    if adj[a] & adj[b]:
+        return True
+    seen = 1 << a | 1 << b
+    frontier = adj[a] & ~seen
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        for x in _bits(frontier):
+            nxt |= adj[x]
+        if nxt >> b & 1:
+            return True
+        frontier = nxt & ~seen
+    return False
+
+
+def _is_canonical_deletion(adj, deg, u: int, v: int, connected: bool) -> int:
+    """How the new edge (u, v) of a child ranks among its deletable edges.
 
     `adj` and `deg` are the adjacency masks and degrees of the child. The
     invariant of an edge is (larger end degree, smaller end degree, common
-    neighbours). With `connected`, only edges on a cycle are deletable.
+    neighbours). With `connected`, only edges on a cycle are deletable. The
+    answer is 0 when a deletable edge has a larger invariant than (u, v), 1
+    when (u, v) is the only deletable edge of maximum invariant, and 2 when
+    it ties there with another deletable edge. A child is accepted iff the
+    answer is not 0.
     """
     hi, lo = (deg[u], deg[v]) if deg[u] >= deg[v] else (deg[v], deg[u])
     common = (adj[u] & adj[v]).bit_count()
+    new = 1 << u | 1 << v
+    tied = []
     for a, da in enumerate(deg):
         if da < hi:
             continue
@@ -113,16 +154,17 @@ def _is_canonical_deletion(adj, deg, u: int, v: int, connected: bool) -> bool:
             db = deg[b]
             if db > da or (da == hi and db < lo):
                 continue  # counted from b's end, or beaten on the degrees
-            if da == hi and db == lo and (adj[a] & adj[b]).bit_count() <= common:
-                continue
-            if not connected or adj[a] & adj[b]:
-                return False
-            cut = list(adj)
-            cut[a] ^= 1 << b
-            cut[b] ^= 1 << a
-            if Graph._from_adj(cut).component_mask(a) >> b & 1:
-                return False  # (a, b) lies on a cycle
-    return True
+            if da == hi and db == lo:
+                shared = (adj[a] & adj[b]).bit_count()
+                if shared < common:
+                    continue
+                if shared == common:
+                    if (db < da or a < b) and (1 << a | 1 << b) != new:
+                        tied.append((a, b))  # each tied edge once, the new one not at all
+                    continue
+            if not connected or _on_cycle(adj, a, b):
+                return 0
+    return 2 if any(not connected or _on_cycle(adj, a, b) for a, b in tied) else 1
 
 
 def _orbit_leaders(g: Graph, gens) -> list[tuple[int, int]]:
@@ -156,12 +198,19 @@ def _orbit_leaders(g: Graph, gens) -> list[tuple[int, int]]:
 def _accepted_children(level: list[_Rep], connected: bool):
     """The children of `level` that pass the test, by parent and then new edge (u, v).
 
-    A parent's children come one per orbit of its automorphism group on its
-    non-edges, from the orbit's least pair. The test is an isomorphism
-    invariant (degrees, common neighbours, bridges), so an orbit's children
-    pass or fail together, and every child skipped is a copy of an earlier
-    one that `_dedup` would drop. Generators of a mere subgroup of Aut would
-    still be sound: their orbits are finer, so fewer copies are skipped.
+    Yields (child, unique) pairs: `unique` when the new edge is the child's
+    only deletable edge of maximum invariant. A parent's children come one
+    per orbit of its automorphism group on its non-edges, from the orbit's
+    least pair. The test is an isomorphism invariant (degrees, common
+    neighbours, bridges), so an orbit's children pass or fail together, and
+    every child skipped is a copy of an earlier one that `_dedup` would drop.
+    A unique child is the only accepted copy of its class: an isomorphism
+    between two such copies carries one new edge onto the other, so it
+    restricts to an automorphism of their one parent (the level holds one
+    graph per class) that maps one orbit leader onto the other, and the two
+    are the same child. That needs the generators of the whole of Aut, which
+    `canonical_data` returns; a mere subgroup would leave two leaders in one
+    orbit of Aut and so two copies of a unique child.
     """
     for rep in level:
         g = rep.labelled().g
@@ -172,8 +221,9 @@ def _accepted_children(level: list[_Rep], connected: bool):
             adj[v] |= 1 << u
             deg[u] += 1
             deg[v] += 1
-            if _is_canonical_deletion(adj, deg, u, v, connected):
-                yield Graph._from_adj(adj)
+            rank = _is_canonical_deletion(adj, deg, u, v, connected)
+            if rank:
+                yield Graph._from_adj(adj), rank == 1
             deg[u] -= 1
             deg[v] -= 1
 
@@ -184,7 +234,10 @@ def _grow(level: list[_Rep], connected: bool) -> list[_Rep]:
     A child G + e is accepted iff no deletable edge has a larger invariant
     than e; with `connected`, bridges are not deletable. Every class of the
     next level still appears: a deletable edge of maximum invariant is the
-    new edge of a child of the representative of its deletion's class.
+    new edge of a child of the representative of its deletion's class. A
+    child whose new edge is the only deletable edge of maximum invariant is
+    kept unlabelled; only the children that tie there are labelled to keep
+    the first of each class.
     """
     return _dedup(_accepted_children(level, connected))
 
@@ -264,15 +317,25 @@ def _level_tree(levels: list[int]) -> Graph:
 
 
 _LEVELS: dict[tuple[int, int], tuple[_Rep, ...]] = {}
+"""Every level `_sparse_classes` has grown, by (n, m), for the life of the process.
+
+Nothing is evicted, so for each order asked for, this holds one graph per
+class of every sparse level (m <= C(n, 2) / 2) up to the highest one asked
+for, and no more: 154,354 graphs for all of n = 9. A level keeps its graphs only, apart from the highest
+level of each order grown so far, whose labelled children (those that tied
+on the growth invariant) also keep a canonical string and generators: 10,579
+of the 34,040 classes of n = 9, m = 18. `GENERATOR_MAX_N` caps n.
+"""
 
 
 def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of (n, m)-graphs.
 
     Dense levels are answered by complementing the sparse ones. Every level
-    of n = 9 (274,668 classes in all) takes about 25 s and 80 MB together,
-    while n = 10 has 12,005,168 classes; the cap is `GENERATOR_MAX_N`, and
-    the package only ever needs small m (or small co-m) there.
+    of n = 9 (274,668 classes in all) takes about 24 s of CPU and peaks at
+    76 MB RSS together (2-vCPU Xeon, Python 3.11.7), while n = 10 has
+    12,005,168 classes; the cap is `GENERATOR_MAX_N`, and the package only
+    ever needs small m (or small co-m) there.
     """
     if n < 0 or m < 0:
         return ()
@@ -326,7 +389,7 @@ def _read_levels(path: str, orders) -> dict[tuple[int, int], list[bytes]]:
 def _file_level(levels, n: int, m: int) -> list[_Rep]:
     """One graph per class of the connected (n, m)-graphs of a file read by `_read_levels`."""
     graphs = (Graph._from_adj(_unpack(n, stream), m) for stream in levels.get((n, m), ()))
-    return _dedup(g for g in graphs if g.is_connected())
+    return _dedup((g, False) for g in graphs if g.is_connected())
 
 
 def connected_graphs(n: int, m: int, *, from_file: str | None = None):
@@ -466,7 +529,7 @@ def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) ->
     cut leaves the pending ones unreported.
     """
     level: list[_Rep] = []
-    pending: list[_Rep] = []  # survivors of level m - 1, labelled when grown or deduplicated
+    pending: list[_Rep] = []  # survivors of level m - 1, labelled when grown or checked here
     for m in count(n - 1):
         if time.monotonic() > deadline:
             return True
@@ -480,8 +543,8 @@ def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) ->
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
         if pending:
             # a pending survivor is connected, so only connected deletions can equal one
-            deletions = (t.g.delete_edge(u, v) for t in survivors for u, v in t.g.edges())
-            parents = {canonical_graph6(h) for h in deletions if h.is_connected()}
+            deletions = (h for t in survivors for h in _cycle_edge_deletions(t.g))
+            parents = {canonical_graph6(h) for h in deletions}
             labels = (rep.labelled().label for rep in pending)
             maximal.extend(s for s in labels if s not in parents)
         if not survivors:
@@ -490,3 +553,14 @@ def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) ->
         pending = survivors
         if mode == "pruned":
             level = survivors
+
+
+def _cycle_edge_deletions(g: Graph):
+    """g minus each edge that lies on a cycle: for a connected g, its connected deletions."""
+    rows = g._adj
+    for a, b in g.edges():
+        if _on_cycle(rows, a, b):
+            cut = list(rows)
+            cut[a] ^= 1 << b
+            cut[b] ^= 1 << a
+            yield Graph._from_adj(cut, g.m - 1)

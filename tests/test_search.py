@@ -31,7 +31,14 @@ from tokengraphs import (
     star_graph,
     verify_maximality,
 )
-from tokengraphs.search import _Rep, _grow, _is_canonical_deletion, _orbit_leaders, _trees
+from tokengraphs.search import (
+    _Rep,
+    _grow,
+    _is_canonical_deletion,
+    _orbit_leaders,
+    _sparse_classes,
+    _trees,
+)
 
 from util import shuffled, tree_code
 
@@ -192,6 +199,63 @@ def test_orbit_growth_keeps_every_pair_growth_in_order():
             assert [r.g._adj for r in reps] == [g._adj for g in level], (n, m)
 
 
+def deletion_rank(child, u, v, connected):
+    return _is_canonical_deletion(list(child._adj), child.degrees(), u, v, connected)
+
+
+def test_canonical_deletion_answers_three_ways():
+    # K_{1,3} plus the leaf edge (1, 2): the edge (0, 1), on a triangle, has the larger degrees
+    assert deletion_rank(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 1, 2, True) == 0
+    # a lone edge is the only one there is
+    assert deletion_rank(Graph(3, [(0, 1)]), 0, 1, False) == 1
+    # every edge of C_4 has the invariant (2, 2, 0) and lies on the cycle
+    c4 = cycle_graph(4)
+    assert deletion_rank(c4, 0, 3, True) == deletion_rank(c4, 0, 3, False) == 2
+    # the square 0-1-2-3 with the new edge (0, 1) at (3, 3, 0); the only other
+    # edge there is the bridge (0, 4) to a vertex with two leaves, so it is
+    # deletable only when bridges are
+    tied_with_bridge = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6), (1, 7)])
+    assert deletion_rank(tied_with_bridge, 0, 1, True) == 1
+    assert deletion_rank(tied_with_bridge, 0, 1, False) == 2
+
+
+def has_one_top_deletion(g, connected):
+    """True iff g has exactly one deletable edge of maximum (larger degree,
+    smaller degree, common neighbours), bridges not deletable when `connected`."""
+    deg = g.degrees()
+    ranks = Counter(
+        (max(deg[a], deg[b]), min(deg[a], deg[b]), len(set(g.neighbors(a)) & set(g.neighbors(b))))
+        for a, b in g.edges()
+        if not connected or g.delete_edge(a, b).is_connected()
+    )
+    return ranks[max(ranks)] == 1
+
+
+def test_grown_levels_hold_each_class_once_and_label_only_ties(monkeypatch):
+    """Every grown level holds pairwise distinct classes, and exactly the
+    children with one deletable edge of maximum invariant stay unlabelled."""
+    monkeypatch.setattr(tokengraphs.search, "_LEVELS", {})
+    for n in range(1, 9):
+        total = n * (n - 1) // 2
+        for m in range(total + 1):
+            if 0 < m <= total - m:
+                level = _sparse_classes(n, m)  # fresh: nothing has grown it yet
+                assert [r.gens is None for r in level] == [
+                    has_one_top_deletion(r.g, False) for r in level
+                ], (n, m)
+            batch = graph_classes(n, m)
+            assert len({canonical_graph6(g) for g in batch}) == len(batch), (n, m)
+    stops = edge_maximal_search(2, range(5, 10), prune=False).stopped_at
+    for n in range(2, 10):
+        reps = [_Rep(t) for t in _trees(n)]
+        for m in range(n, stops.get(n, n * (n - 1) // 2) + 1):
+            reps = _grow(reps, connected=True)
+            assert [r.gens is None for r in reps] == [
+                has_one_top_deletion(r.g, True) for r in reps
+            ], (n, m)
+            assert len({canonical_graph6(r.g) for r in reps}) == len(reps), (n, m)
+
+
 def test_orbit_leaders_skip_only_copies():
     # the star K_{1,4}: every non-edge joins two leaves, one orbit under Aut = S_4
     star = star_graph(5)
@@ -232,8 +296,9 @@ def test_growth_labels_only_accepted_children(monkeypatch):
     report = edge_maximal_search(2, range(5, 10), prune=False)
     labelled = len(calls)
     monkeypatch.undo()
-    # every child of every parent would be 11,236; every accepted child, 2,594
-    assert labelled < 2100
+    # every child of every parent would be 11,236; every accepted child, 2,594;
+    # one per orbit, 2,026; only the children that tie on the invariant, 1,404
+    assert labelled < 1450
     for e in report.entries:
         assert e.generated == sum(1 for _ in connected_graphs(e.n, e.m))
 
