@@ -10,10 +10,14 @@ key. The winning certificate is the canonical form, so the canonical graph6
 string is read off it (`graph6._graph6`), with no relabeled graph built.
 
 Two reference leaves steer pruning: the first leaf reached (kept fixed, for
-automorphism discovery) and the best leaf so far. Subtrees comparing worse
-than the best and diverging from the first path are cut. Leaves matching a
-reference certificate yield automorphisms, which prune sibling branches whose
-individualized vertices are equivalent under generators fixing the path.
+automorphism discovery) and the best leaf so far. Each is kept as one record,
+(invariant path, certificate, vertex of each label); the labels of the
+vertices are inverted from the best record once, when a caller asks for
+them. Subtrees comparing worse than the best and diverging from the first
+path are cut. Leaves matching a reference certificate yield automorphisms,
+which prune sibling branches whose individualized vertices are equivalent
+under generators fixing the path. Each new generator is checked on the
+adjacency rows, row by row, before it is kept; the search builds no graph.
 Before the search starts, the swaps of twin vertices (same open or same
 closed neighbourhood) are seeded as generators, since they are known
 automorphisms (McKay & Piperno 2014): on the edgeless E_n the search then
@@ -112,22 +116,25 @@ def _target_cell(cells: list[int]) -> int:
     return best
 
 
+def _labels(vert) -> list[int]:
+    """The label of each vertex, from the vertex of each label."""
+    labels = [0] * len(vert)
+    for label, v in enumerate(vert):
+        labels[v] = label
+    return labels
+
+
 class _Search:
-    def __init__(self, g: Graph):
-        self.g = g
-        self.n = g.n
-        self.adj = g._adj
-        self.first_invs: list | None = None
-        self.first_cert: int | None = None
-        self.first_vert: list[int] | None = None  # label -> vertex
+    def __init__(self, adj):
+        self.n = len(adj)
+        self.adj = adj
+        # leaf records: (invariant path, certificate, label -> vertex)
+        self.first: tuple | None = None
         self.first_path: tuple[int, ...] = ()  # individualized vertices, in order
-        self.best_invs: list | None = None
-        self.best_cert: int | None = None
-        self.best_labels: tuple[int, ...] | None = None
-        self.best_vert: list[int] | None = None
+        self.best: tuple | None = None
         self.gens: list[tuple[int, ...]] = []
         self._gen_keys: set = set()
-        self._identity = tuple(range(g.n))
+        self._identity = tuple(range(self.n))
         self._invs: list = []
 
     def run(self):
@@ -156,10 +163,16 @@ class _Search:
         self._node(cells, (), True)
 
     def _add_automorphism(self, perm):
+        """Keep `perm` as a generator after checking it maps each row onto its image's row."""
         if perm == self._identity or perm in self._gen_keys:
             return
-        if _relabeled(self.g, perm)._adj != self.adj:
-            raise RuntimeError("internal error: a generator is not an automorphism")
+        adj = self.adj
+        for v, row in enumerate(adj):
+            image = 0
+            for w in _bits(row):
+                image |= 1 << perm[w]
+            if image != adj[perm[v]]:
+                raise RuntimeError("internal error: a generator is not an automorphism")
         self._gen_keys.add(perm)
         self.gens.append(perm)
 
@@ -169,11 +182,10 @@ class _Search:
         Computed afresh at every node: a state inherited from the parent
         goes stale once a leaf in the same subtree replaces the best leaf.
         """
-        bi = self.best_invs
-        if bi is None:
+        if self.best is None:
             return _BETTER
         path = self._invs + [inv]
-        ref = bi[: len(path)]
+        ref = self.best[0][: len(path)]
         if path == ref:
             return _EQ
         return _BETTER if path < ref else _WORSE
@@ -181,12 +193,9 @@ class _Search:
     def _node(self, cells, prefix, first_eq):
         inv = tuple(mask.bit_count() for mask in cells)
         depth = len(self._invs)
-        if self.first_invs is not None:
-            first_eq = (
-                first_eq
-                and depth < len(self.first_invs)
-                and self.first_invs[depth] == inv
-            )
+        if self.first is not None:
+            first_invs = self.first[0]
+            first_eq = first_eq and depth < len(first_invs) and first_invs[depth] == inv
         best_state = self._compare_best(inv)
         if best_state == _WORSE and not first_eq:
             return
@@ -259,33 +268,25 @@ class _Search:
     def _leaf(self, cells, prefix, first_eq, best_state):
         # every cell is a singleton whose id is its vertex's label (n = 0 has one empty cell)
         vert = [mask.bit_length() - 1 for mask in cells[: self.n]]  # label -> vertex
-        labels = [0] * self.n
-        for label, v in enumerate(vert):
-            labels[v] = label
+        labels = _labels(vert)
         cert = _upper_bits(_renamed(self.adj, range(self.n), labels))
-        if self.first_cert is None:
-            self.first_invs = list(self._invs)
-            self.first_cert = cert
+        if self.first is None:  # the first leaf is also the first best leaf
             self.first_path = prefix
-        elif first_eq and cert == self.first_cert:
-            self._add_automorphism(tuple(self.first_vert[label] for label in labels))
-        # the first leaf always compares better: there is no best leaf yet
-        if best_state == _BETTER or (best_state == _EQ and cert < self.best_cert):
-            if self.first_vert is None:
-                self.first_vert = vert
-            self.best_invs = list(self._invs)
-            self.best_cert = cert
-            self.best_labels = tuple(labels)
-            self.best_vert = vert
-        elif best_state == _EQ and cert == self.best_cert:
-            self._add_automorphism(tuple(self.best_vert[label] for label in labels))
+            self.first = self.best = (list(self._invs), cert, vert)
+            return
+        if first_eq and cert == self.first[1]:
+            self._add_automorphism(tuple(self.first[2][label] for label in labels))
+        if best_state == _BETTER or (best_state == _EQ and cert < self.best[1]):
+            self.best = (list(self._invs), cert, vert)
+        elif best_state == _EQ and cert == self.best[1]:
+            self._add_automorphism(tuple(self.best[2][label] for label in labels))
 
 
 def _search(g: Graph) -> _Search:
     """The finished search tree of `g`."""
     if g.n > CANON_MAX_N:
         raise SizeLimitExceeded(f"canonical labeling capped at n <= {CANON_MAX_N}")
-    search = _Search(g)
+    search = _Search(g._adj)
     try:
         search.run()
     except RecursionError:  # the search recurses once per individualised vertex
@@ -301,15 +302,15 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """
     search = _search(g)
     return CanonicalForm(
-        graph6=_graph6(g.n, search.best_cert),
-        permutation=search.best_labels,
+        graph6=_graph6(g.n, search.best[1]),
+        permutation=tuple(_labels(search.best[2])),
         automorphism_order=search.automorphism_order(),
     )
 
 
 def canonical_graph6(g: Graph) -> str:
     """Canonical graph6 string only (computes no orbits)."""
-    return _graph6(g.n, _search(g).best_cert)
+    return _graph6(g.n, _search(g).best[1])
 
 
 def canonical_data(g: Graph):
@@ -320,30 +321,18 @@ def canonical_data(g: Graph):
     `_Search.automorphism_order` counts it.
     """
     search = _search(g)
-    return _graph6(g.n, search.best_cert), search.best_labels, search.gens
+    return _graph6(g.n, search.best[1]), tuple(_labels(search.best[2])), search.gens
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled graph itself."""
-    return _relabeled(g, _search(g).best_labels)
-
-
-def _triangle_profile(g: Graph) -> tuple[int, ...]:
-    adj = g._adj
-    return tuple(
-        sorted(
-            sum((adj[v] & adj[w]).bit_count() for w in _bits(adj[v])) // 2
-            for v in range(g.n)
-        )
-    )
+    return _relabeled(g, _labels(_search(g).best[2]))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Isomorphism via canonical forms, behind cheap invariant prefilters."""
+    """Isomorphism via canonical forms, behind the order, size and degree prefilters."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
     if g1.degree_multiset() != g2.degree_multiset():
-        return False
-    if _triangle_profile(g1) != _triangle_profile(g2):
         return False
     return canonical_graph6(g1) == canonical_graph6(g2)

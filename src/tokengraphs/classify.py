@@ -235,9 +235,7 @@ def residual_degree_obstruction(g: Graph, k: int) -> bool:
     for mask in _iter_embeddings(g, _P3_PLAN):
         keep = [x for x in range(n) if not (mask >> x) & 1]
         h = g.induced_subgraph(keep)
-        for j in (k - 1, k - 2):
-            if j < 0 or j > h.n:
-                continue
+        for j in (k - 1, k - 2):  # 0 <= j <= n - 3 = h.n, as 2 <= k <= n - 2
             if any(
                 token_degree(h, members) > 2
                 for members in combinations(range(h.n), j)

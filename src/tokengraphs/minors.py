@@ -34,7 +34,6 @@ from .graphs import (
     _mask,
     _pattern_order,
     has_cycle_of_length_at_least,
-    normalize_edge,
     path_graph,
     star_graph,
 )
@@ -150,7 +149,8 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
     each matched pair and dropping a bit that no live mask holds keeps order;
     so sorting masks sorts their labels, and the a-side of a matched pair has
     the smaller label. Raises BadK unless 1 <= k < n holds both for g and
-    for the edited base.
+    for the edited base, and InvalidScript for a step that names a vertex
+    out of range, a loop or an absent edge, or is not an operation.
     """
     _check_k(g.n, k)
     live = list(SubsetCodec(g.n, k).masks())
@@ -164,7 +164,11 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
                 raise InvalidScript(f"vertex {op.v} is out of range for n={bg.n}")
             doomed, gone = 1 << op.v, op.v
         elif isinstance(op, (DeleteEdge, ContractEdge)):
-            a, b = normalize_edge(op.u, op.v)
+            a, b = sorted((op.u, op.v))
+            if a < 0 or b >= bg.n:
+                raise InvalidScript(f"edge ({a},{b}) is out of range for n={bg.n}")
+            if a == b:
+                raise InvalidScript(f"edge ({a},{b}) is a loop")
             if not bg.has_edge(a, b):
                 if isinstance(op, DeleteEdge):
                     raise InvalidScript(f"edge ({a},{b}) is not present")
@@ -175,8 +179,9 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
                 for base in map(_mask, combinations(others, k - 1))
             )
             if isinstance(op, DeleteEdge):
-                label = {m: i for i, m in enumerate(live)}
-                emitted = [DeleteEdge(label[x], label[y]) for x, y in pairs]
+                emitted = [
+                    DeleteEdge(bisect_left(live, x), bisect_left(live, y)) for x, y in pairs
+                ]
             else:
                 for keep, drop in pairs:
                     i, j = bisect_left(live, keep), bisect_left(live, drop)

@@ -229,11 +229,17 @@ def test_twin_rich_graphs_have_one_form_and_closed_form_aut():
 def test_canonical_strings_build_no_graph(monkeypatch):
     """The string is read off the search's best certificate, not re-encoded.
 
-    The graph is asymmetric, so the search finds no automorphism to check
-    by relabelling either.
+    The symmetric graphs also show that each automorphism the search finds
+    or seeds is checked on the adjacency rows, with no relabelled graph.
     """
-    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
-    want = encode_graph6(canonical_graph(g))
+    cases = [
+        (Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)]), 1),
+        (petersen_graph(), 120),
+        (cycle_graph(6), 12),
+        (empty_graph(5), 120),
+        (complete_bipartite_graph(3, 4), 144),
+    ]
+    wants = [encode_graph6(canonical_graph(g)) for g, _ in cases]
     built = []
     from_adj = Graph._from_adj
 
@@ -242,10 +248,14 @@ def test_canonical_strings_build_no_graph(monkeypatch):
         return from_adj(adj, m)
 
     monkeypatch.setattr(Graph, "_from_adj", staticmethod(counted))
-    form = canonical_form(g)
-    assert form.automorphism_order == 1
-    assert canonical_graph6(g) == form.graph6 == canonical_data(g)[0] == want
-    assert built == []
+    for (g, aut), want in zip(cases, wants):
+        form = canonical_form(g)
+        g6, labels, gens = canonical_data(g)
+        assert form.automorphism_order == aut
+        assert canonical_graph6(g) == form.graph6 == g6 == want
+        assert labels == form.permutation
+        assert (gens == []) == (aut == 1)
+        assert built == [], encode_graph6(g)
 
 
 def test_iso_between_different_representations():

@@ -64,6 +64,15 @@ def test_vertex_bounds_checked():
         Graph(2, [(0, 2)])
 
 
+def test_constructors_reject_impossible_orders():
+    with pytest.raises(ValueError, match="vertex count must be non-negative, got -1"):
+        Graph(-1)
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices, got 2"):
+        cycle_graph(2)
+    with pytest.raises(ValueError, match="star needs at least 1 vertex"):
+        star_graph(0)
+
+
 def test_with_edge_and_delete_edge():
     g = path_graph(3)
     g2 = g.with_edge(0, 2)

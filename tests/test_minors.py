@@ -315,6 +315,25 @@ def test_lift_rejects_bad_k_and_overshrinking():
         lift_script(g, 2, (DeleteVertex(0), DeleteVertex(0)))
 
 
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (DeleteVertex(7), "vertex 7 is out of range for n=4"),
+        (DeleteEdge(0, 9), r"edge \(0,9\) is out of range for n=4"),
+        (ContractEdge(-1, 2), r"edge \(-1,2\) is out of range for n=4"),
+        (ContractEdge(2, 2), r"edge \(2,2\) is a loop"),
+        (DeleteEdge(1, 1), r"edge \(1,1\) is a loop"),
+        (DeleteEdge(2, 0), r"edge \(0,2\) is not present"),
+        (ContractEdge(0, 3), r"edge \(0,3\) cannot be contracted"),
+        (("dv", 0), "unknown operation"),
+    ],
+)
+def test_lift_rejects_every_bad_step_as_an_invalid_script(op, message):
+    """On P_4 with k = 2, every step that names no usable vertex, edge or operation."""
+    with pytest.raises(InvalidScript, match=message):
+        lift_script(path_graph(4), 2, (op,))
+
+
 def test_nonplanarity_certificates_are_sound():
     """Whenever a certificate fires, the built token graph is non-planar."""
     from tokengraphs import is_planar

@@ -328,6 +328,12 @@ def test_dense_levels_use_complements():
     assert len(graph_classes(4, 6)) == 1
 
 
+def test_graph_classes_of_a_negative_order_or_size_are_empty():
+    assert graph_classes(-1, 0) == ()
+    assert graph_classes(4, -1) == ()
+    assert graph_classes(-2, -3) == ()
+
+
 def test_generator_size_cap_and_file_escape_hatch(tmp_path):
     with pytest.raises(SizeLimitExceeded):
         graph_classes(15, 3)

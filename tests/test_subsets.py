@@ -54,6 +54,13 @@ def test_rank_rejects_repeated_and_out_of_range_members():
             codec.rank(bad)
 
 
+def test_rank_rejects_a_subset_of_the_wrong_size():
+    codec = SubsetCodec(5, 2)
+    for bad in ([0, 1, 2], [3], KSubset((0, 1, 4), 5)):
+        with pytest.raises(ValueError, match="expected a 2-subset"):
+            codec.rank(bad)
+
+
 def test_unrank_bounds():
     codec = SubsetCodec(5, 2)
     with pytest.raises(IndexOutOfRange):
