@@ -25,7 +25,11 @@ def test_masks_list_every_subset_in_rank_order():
     for n in range(0, 13):
         for k in range(0, n + 1):
             codec = SubsetCodec(n, k)
-            assert list(codec.masks()) == [codec.unrank_mask(r) for r in range(codec.size)]
+            masks = list(codec.masks())
+            assert masks == [codec.unrank_mask(r) for r in range(codec.size)]
+            # complementing reverses colex order: rank r goes to C(n, k) - 1 - r
+            full = (1 << n) - 1
+            assert [full ^ mask for mask in masks] == list(SubsetCodec(n, n - k).masks())[::-1]
 
 
 def test_rank_is_the_inverse_of_unrank():

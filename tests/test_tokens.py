@@ -22,21 +22,32 @@ from tokengraphs import (
     token_degree,
 )
 
-from util import brute_token_edges, random_graph
+from util import brute_token_edges, random_graph, swap_token_edges
 
 
 def test_token_graph_matches_brute_force():
-    """Labeled equality against the from-scratch symmetric-difference oracle,
-    for n <= 10, with disconnected and edgeless bases, and k = 1, n - 1."""
+    """Labeled equality against the from-scratch symmetric-difference oracle
+    for n <= 10, with disconnected and edgeless bases, and k = 1, n - 1; past
+    n = 10, against the token-swap oracle (checked here against the first on
+    every smaller base), at every k."""
     rng = random.Random(1003)
     bases = [empty_graph(n) for n in range(2, 11)]
     bases += [random_graph(rng, rng.randint(2, 10), rng.uniform(0.0, 0.4)) for _ in range(40)]
     bases += [random_graph(rng, rng.randint(2, 10), rng.uniform(0.3, 1.0)) for _ in range(40)]
     assert any(not g.is_connected() and g.m for g in bases)
+    big = random.Random(1103)
+    bases += [complete_graph(11), complete_graph(12), cycle_graph(12)]
+    bases += [random_graph(big, n, p) for n in (11, 12) for p in (0.2, 0.5)]
+    # top vertex with no lower neighbour: the build's last column adds no
+    # edge between its two blocks
+    bases += [Graph(11, path_graph(10).edges()), Graph(12, random_graph(big, 11, 0.5).edges())]
     for g in bases:
         n = g.n
-        for k in sorted({1, n - 1, rng.randint(1, n - 1)}):
-            subs, edges = brute_token_edges(g, k)
+        ks = range(1, n) if n > 10 else sorted({1, n - 1, rng.randint(1, n - 1)})
+        for k in ks:
+            subs, edges = swap_token_edges(g, k)
+            if n <= 10:
+                assert (subs, edges) == brute_token_edges(g, k)
             tg = build_token_graph(g, k)
             assert tg.graph == Graph(len(subs), edges), (g.edges(), k)
             # the closed-form edge count the build reports is the rows' count

@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: seeded generators and slow oracles.
 
 Everything here is deliberately independent of the library internals so it
-can serve as ground truth: the token-graph oracle works on tuples and
-symmetric differences, the isomorphism oracle tries every permutation, and
-the script oracle edits an edge set one step at a time.
+can serve as ground truth: the token-graph oracles work on tuples, by
+symmetric differences or by swapping one member; the isomorphism oracle
+tries every permutation; and the script oracle edits an edge set one step
+at a time.
 """
 
 import random
@@ -98,6 +99,29 @@ def brute_token_edges(g: Graph, k: int):
             if len(diff) == 2 and g.has_edge(*diff):
                 edges.append((i, index[b]))
     return subs, edges
+
+
+def swap_token_edges(g: Graph, k: int):
+    """The same edge list as `brute_token_edges`, found by swapping tokens.
+
+    For each subset tuple and each member x of it, every neighbour y of x
+    outside the tuple gives the tuple with x replaced by y. This costs about
+    C(n, k) * k * n steps instead of C(n, k)^2 comparisons, so it reaches the
+    orders where the all-pairs oracle is too slow.
+    """
+    nbrs = {x: set() for x in range(g.n)}
+    for x, y in g.edges():
+        nbrs[x].add(y)
+        nbrs[y].add(x)
+    subs = sorted(combinations(range(g.n), k), key=lambda t: t[::-1])
+    index = {s: i for i, s in enumerate(subs)}
+    edges = set()
+    for i, a in enumerate(subs):
+        for x in a:
+            for y in nbrs[x].difference(a):
+                j = index[tuple(sorted(set(a) - {x} | {y}))]
+                edges.add((min(i, j), max(i, j)))
+    return subs, sorted(edges)
 
 
 def tree_code(t: Graph) -> str:
