@@ -11,9 +11,12 @@ identity in `RegularityWitness` tells from g alone which pairs (u, v) admit
 one.
 
 `classify_planarity` decides planarity of F_k(g) for connected g: the path
-characterization for n > 10, and at small orders, where no characterization
-exists, `token_planarity`, the search's own path: the token graph's
-edge-count bound, then the paper's lemmas, then a build and test.
+characterization for n > 10, and at smaller orders `token_planarity`, the
+search's own path: the token graph's edge-count bound, then the paper's
+lemmas, then a build and test. The paper characterizes those orders too,
+through its census (13 maximal graphs for k = 2 on n <= 10, and 2 for
+k = 3 on n = 6), but this module computes their verdicts; it does not read
+that characterization.
 """
 
 from __future__ import annotations

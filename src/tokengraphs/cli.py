@@ -66,6 +66,7 @@ def _cmd_build(args) -> int:
             print(_dot(tg))
         else:
             t = tg.graph
+            # F_k(g) is connected iff g is, so no walk over the token vertices
             print(
                 json.dumps(
                     {
@@ -75,7 +76,7 @@ def _cmd_build(args) -> int:
                         "n": t.n,
                         "m": t.m,
                         "regular": t.is_regular(),
-                        "connected": t.is_connected(),
+                        "connected": g.is_connected(),
                         "planar": is_planar(t).planar,
                         "graph6": encode_graph6(t),
                     }

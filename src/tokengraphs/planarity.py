@@ -2,11 +2,19 @@
 
 `is_planar` is the production path: reject the graph outright when it exceeds
 the 3n - 6 edge bound, or when it is bipartite and exceeds 2n - 4, otherwise
-run the left-right test (Brandes) on the whole graph, which walks one DFS
-tree per component. Both DFS passes are iterative because token graphs
-routinely reach several hundred vertices. The bipartite bound matters for
-token graphs: F_k(g) is bipartite iff g is (Fabila-Monroy et al., Graphs
-Combin. 28, 2012).
+run the left-right test (Brandes, *The left-right planarity test*, 2009) on
+the whole graph, which walks one DFS tree per component. Both DFS passes are
+iterative because token graphs routinely reach several hundred vertices. The
+bipartite bound matters for token graphs: F_k(g) is bipartite iff g is
+(Fabila-Monroy et al., Graphs Combin. 28, 2012).
+
+The left-right test keeps only the state of Brandes' algorithm. The
+orientation DFS records each vertex's height, parent edge and outgoing edges,
+and each oriented edge's two lowpoints; it reads the adjacency rows directly,
+and a visited neighbour is a back edge iff it sits more than one level up.
+The outgoing edges are then sorted in place by nesting depth. The testing DFS
+keeps the conflict stack of interval pairs, each edge's lowpoint edge and
+`ref` link; the stack height at which an edge began rides in its DFS frame.
 
 `token_planarity` is the one path from "is F_k(g) planar?" to a verdict: the
 token graph's closed-form edge count, then the paper's lemmas
@@ -80,17 +88,14 @@ class _LeftRight:
 
     def __init__(self, g: Graph):
         self.n = g.n
-        self.adj = [list(_bits(mask)) for mask in g._adj]
+        self.rows = g._adj
         self.height: list = [None] * g.n
-        self.parent_edge: dict = {v: None for v in range(g.n)}
+        self.parent_edge: list = [None] * g.n
         self.lowpt: dict = {}
         self.lowpt2: dict = {}
-        self.nesting_depth: dict = {}
         self.out: list[list[int]] = [[] for _ in range(g.n)]
-        self.ordered: list[list[int]] = [[] for _ in range(g.n)]
         # testing state
         self.S: list[_Pair] = []
-        self.bottom: dict = {}
         self.lowpt_edge: dict = {}
         self.ref: dict = {}
 
@@ -101,53 +106,43 @@ class _LeftRight:
                 self.height[v] = 0
                 roots.append(v)
                 self._orient(v)
-        for v in range(self.n):
-            self.ordered[v] = sorted(
-                self.out[v], key=lambda w: self.nesting_depth[(v, w)]
-            )
-        for root in roots:
-            if not self._test(root):
-                return False
-        return True
+        # nesting depth: 2 * lowpt, plus one if the edge is chordal
+        lowpt, lowpt2 = self.lowpt, self.lowpt2
+        for v, ws in enumerate(self.out):
+            h = self.height[v]
+            ws.sort(key=lambda w: 2 * lowpt[v, w] + (lowpt2[v, w] < h))
+        return all(self._test(root) for root in roots)
 
-    # -- pass 1: orientation, lowpoints, nesting depth -------------------
+    # -- pass 1: orientation and lowpoints -------------------------------
 
     def _orient(self, root: int) -> None:
-        oriented = set()
-        stack = [(root, iter(self.adj[root]))]
+        height, parent_edge = self.height, self.parent_edge
+        stack = [(root, _bits(self.rows[root]))]
         while stack:
             v, it = stack[-1]
-            descended = False
             for w in it:
-                key = (v, w) if v < w else (w, v)
-                if key in oriented:
+                # no cross edges in an undirected DFS: a visited w at height
+                # h(v) - 1 or above is v's parent or a descendant whose edge
+                # to v is oriented already
+                if height[w] is not None and height[w] >= height[v] - 1:
                     continue
-                oriented.add(key)
                 ei = (v, w)
                 self.out[v].append(w)
-                self.lowpt[ei] = self.height[v]
-                self.lowpt2[ei] = self.height[v]
-                if self.height[w] is None:  # tree edge
-                    self.parent_edge[w] = ei
-                    self.height[w] = self.height[v] + 1
-                    stack.append((w, iter(self.adj[w])))
-                    descended = True
+                self.lowpt[ei] = self.lowpt2[ei] = height[v]
+                if height[w] is None:  # tree edge
+                    parent_edge[w] = ei
+                    height[w] = height[v] + 1
+                    stack.append((w, _bits(self.rows[w])))
                     break
-                self.lowpt[ei] = self.height[w]  # back edge
+                self.lowpt[ei] = height[w]  # back edge
                 self._finish_edge(ei)
-            if descended:
-                continue
-            stack.pop()
-            pe = self.parent_edge[v]
-            if pe is not None:
-                self._finish_edge(pe)
+            else:
+                stack.pop()
+                if parent_edge[v] is not None:
+                    self._finish_edge(parent_edge[v])
 
     def _finish_edge(self, ei) -> None:
-        v = ei[0]
-        self.nesting_depth[ei] = 2 * self.lowpt[ei] + (
-            1 if self.lowpt2[ei] < self.height[v] else 0
-        )
-        e = self.parent_edge[v]
+        e = self.parent_edge[ei[0]]
         if e is None:
             return
         if self.lowpt[ei] < self.lowpt[e]:
@@ -161,21 +156,21 @@ class _LeftRight:
     # -- pass 2: constraint testing --------------------------------------
 
     def _test(self, root: int) -> bool:
-        stack = [(root, 0)]
+        stack = [(root, 0, 0)]
         while stack:
-            v, i = stack[-1]
-            adjs = self.ordered[v]
+            v, i, _ = stack[-1]
+            adjs = self.out[v]
             if i < len(adjs):
-                stack[-1] = (v, i + 1)
+                bottom = len(self.S)
+                stack[-1] = (v, i + 1, bottom)
                 w = adjs[i]
                 ei = (v, w)
-                self.bottom[ei] = len(self.S)
                 if ei == self.parent_edge[w]:  # tree edge: descend first
-                    stack.append((w, 0))
+                    stack.append((w, 0, 0))
                     continue
                 self.lowpt_edge[ei] = ei  # back edge
                 self.S.append(_Pair(right=_Interval(ei, ei)))
-                if not self._after_edge(v, w, i):
+                if not self._after_edge(v, w, i, bottom):
                     return False
                 continue
             stack.pop()
@@ -192,18 +187,19 @@ class _LeftRight:
                     self.ref[e] = hl
                 else:
                     self.ref[e] = hr
-            if not self._after_edge(u, v, stack[-1][1] - 1):
+            _, i, bottom = stack[-1]
+            if not self._after_edge(u, v, i - 1, bottom):
                 return False
         return True
 
-    def _after_edge(self, v: int, w: int, idx: int) -> bool:
+    def _after_edge(self, v: int, w: int, idx: int, bottom: int) -> bool:
         ei = (v, w)
         if self.lowpt[ei] >= self.height[v]:
             return True  # no return edge
         if idx == 0:
             self.lowpt_edge[self.parent_edge[v]] = self.lowpt_edge[ei]
             return True
-        return self._add_constraints(ei, self.parent_edge[v])
+        return self._add_constraints(ei, self.parent_edge[v], bottom)
 
     def _conflicting(self, interval: _Interval, b) -> bool:
         return interval.high is not None and self.lowpt[interval.high] > self.lowpt[b]
@@ -215,7 +211,7 @@ class _LeftRight:
             return self.lowpt[pair.left.low]
         return min(self.lowpt[pair.left.low], self.lowpt[pair.right.low])
 
-    def _add_constraints(self, ei, e) -> bool:
+    def _add_constraints(self, ei, e, bottom: int) -> bool:
         P = _Pair()
         # merge return edges of ei into P.right
         while True:
@@ -232,7 +228,7 @@ class _LeftRight:
                 P.right.low = Q.right.low
             else:
                 self.ref[Q.right.low] = self.lowpt_edge[e]
-            if len(self.S) <= self.bottom[ei]:
+            if len(self.S) <= bottom:
                 break
         # merge conflicting return edges of earlier siblings into P.left
         while self.S and (

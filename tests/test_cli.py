@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tokengraphs.cli
-from tokengraphs import Graph, decode_graph6, encode_graph6, complete_graph, lift_script, path_graph
+from tokengraphs import Graph, build_token_graph, decode_graph6, encode_graph6, complete_graph, lift_script, path_graph
 from tokengraphs.cli import main
 
 
@@ -26,6 +26,18 @@ def test_build_json(capsys):
     assert blob["regular"] is True and blob["planar"] is True
     assert blob["base_n"] == 4 and blob["k"] == 2
     assert decode_graph6(blob["graph6"]).degree_multiset() == (4,) * 6
+
+
+def test_build_reads_connected_off_the_base(capsys):
+    """F_k(g) is connected iff g is: 2K_2 and P_3 + K_2 give false at every k."""
+    two_k2 = Graph(4, [(0, 1), (2, 3)])
+    for g in (two_k2, Graph(5, [(0, 1), (1, 2), (3, 4)]), complete_graph(4), path_graph(5)):
+        for k in range(1, g.n):
+            code, out, _ = run(capsys, "build", "-k", str(k), "--graph6", encode_graph6(g))
+            assert code == 0
+            connected = json.loads(out)["connected"]
+            assert connected is build_token_graph(g, k).graph.is_connected()
+            assert connected is g.is_connected()
 
 
 def test_build_g6_and_dot(capsys):

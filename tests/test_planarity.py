@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -27,7 +28,7 @@ from tokengraphs import (
 )
 from tokengraphs.search import _trees
 
-from util import random_graph, shuffled
+from util import random_graph, random_tree, shuffled
 
 
 def test_known_planar_graphs():
@@ -139,6 +140,22 @@ def test_random_bipartite_graphs_match_the_oracle():
     assert methods[True, "left-right"]
 
 
+def _networkx_planar(nx, g: Graph) -> bool:
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    return nx.check_planarity(ref)[0]
+
+
+def _spider(legs) -> Graph:
+    """The tree with centre 0 and one hanging path of each length in `legs`."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0, n)] + [(v, v + 1) for v in range(n, n + length - 1)]
+        n += length
+    return Graph(n, edges)
+
+
 def test_tree_token_graphs_match_networkx():
     nx = pytest.importorskip("networkx")
     methods = Counter()
@@ -146,13 +163,42 @@ def test_tree_token_graphs_match_networkx():
         for k in (2, 3, 4):
             h = build_token_graph(t, k).graph
             verdict = is_planar(h)
-            ref = nx.Graph()
-            ref.add_nodes_from(range(h.n))
-            ref.add_edges_from(h.edges())
-            assert verdict.planar == nx.check_planarity(ref)[0], (encode_graph6(t), k)
+            assert verdict.planar == _networkx_planar(nx, h), (encode_graph6(t), k)
             methods[k, verdict.method] += 1
     # k = 2 stays under 2V - 4 (72 <= 86); k = 3, 4 are past it
     assert set(methods) == {(2, "left-right"), (3, "euler-bound"), (4, "euler-bound")}
+
+
+def test_token_graphs_up_to_a_thousand_vertices_match_networkx():
+    """Past the minor oracle's n <= 10, networkx checks LR where it decides.
+
+    F_2 of a sparse base on n vertices has C(n, 2) vertices and stays under
+    2V - 4 unless the base is bipartite with two edges past a tree, so LR
+    decides it up to n = 45 (990 vertices). F_3 of a tree passes 2V - 4 from
+    n = 9 on; those verdicts check the bipartite bound instead.
+    """
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1000)
+    cases = [(path_graph(n), 2) for n in (12, 20, 30, 45)]
+    for _ in range(24):
+        n = rng.randint(12, 45)
+        edges = set(random_tree(rng, n).edges())
+        free = [(u, v) for v in range(n) for u in range(v) if (u, v) not in edges]
+        base = Graph(n, sorted(edges) + rng.sample(free, rng.randint(0, 2)))
+        cases.append((shuffled(rng, base), 2))
+    cases += [(path_graph(n), 3) for n in (6, 7, 8, 12, 19)]
+    cases += [
+        (_spider(legs), 3)
+        for legs in ((1, 1, 3), (1, 2, 2), (2, 2, 3), (1, 1, 1, 1, 3), (4, 6, 8))
+    ]
+    methods = Counter()
+    for base, k in cases:
+        h = build_token_graph(base, k).graph
+        assert h.n <= 1000
+        verdict = is_planar(h)
+        assert verdict.planar == _networkx_planar(nx, h), (encode_graph6(base), k)
+        methods[verdict.planar, verdict.method] += 1
+    assert methods[True, "left-right"] and methods[False, "left-right"]
 
 
 def test_verdict_is_truthy():
@@ -228,6 +274,23 @@ def test_large_planar_and_dense_inputs():
     assert is_planar(ladder)
     assert not is_planar(complete_graph(40))
     assert is_planar(complete_graph(40)).method == "euler-bound"
+
+
+def test_left_right_walks_a_dfs_deeper_than_the_recursion_limit():
+    """A 3 x 2,000 grid is planar; beside a K_{3,3} it stays under 2V - 4,
+    so LR, not the Euler bound, must find the K_{3,3}."""
+    cols = 2000
+    grid_edges = [(r * cols + c, r * cols + c + 1) for r in range(3) for c in range(cols - 1)]
+    grid_edges += [(r * cols + c, (r + 1) * cols + c) for r in range(2) for c in range(cols)]
+    grid = Graph(3 * cols, grid_edges)
+    lr = tokengraphs.planarity._LeftRight(grid)
+    assert lr.run()
+    assert max(lr.height) > sys.getrecursionlimit()
+    assert is_planar(grid) == PlanarityVerdict(True, "left-right")
+    k33 = [(3 * cols + u, 3 * cols + v) for u, v in complete_bipartite_graph(3, 3).edges()]
+    union = Graph(3 * cols + 6, grid_edges + k33)
+    assert union.m <= 2 * union.n - 4
+    assert is_planar(union) == PlanarityVerdict(False, "left-right")
 
 
 def test_token_planarity_is_sound_and_otherwise_equals_the_build():
