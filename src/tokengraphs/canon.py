@@ -32,8 +32,8 @@ vertices before it, and those orbits are the ones pruning already uses.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import SizeLimitExceeded
 from .graph6 import _graph6, _upper_bits
 from .graphs import Graph, _bits, _relabeled, _renamed
@@ -43,8 +43,7 @@ CANON_MAX_N = 1024
 _BETTER, _EQ, _WORSE = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Canonical graph6 string, the relabeling that produces it, and |Aut|."""
 
     graph6: str

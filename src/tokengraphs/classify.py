@@ -21,11 +21,10 @@ that characterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 
+from ._record import Record
 from .errors import (
     Disconnected,
     NoP3Found,
@@ -47,8 +46,7 @@ class RegularityCase(str, Enum):
     NOT_REGULAR = "not-regular"
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(Record):
     """Two token vertices A = S + u and B = S + v with different degrees.
 
     S is a (k-1)-subset avoiding u and v. With X, Y, W, Z the cells of
@@ -68,16 +66,14 @@ class RegularityWitness:
     degree_b: int
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(Record):
     regular: bool
     case: RegularityCase
     k: int
     witness: RegularityWitness | None
 
 
-@dataclass(frozen=True)
-class NeighborhoodPartition:
+class NeighborhoodPartition(Record):
     """Split of V minus {u, v} by adjacency toward u and v.
 
     x = neighbours of u only, y = neighbours of v only, w = common
@@ -176,11 +172,12 @@ def uniform_substitution_degree(g: Graph, k: int) -> Fraction:
         raise NotRegularInput("base graph is not regular")
     if not (g.is_complete() or g.is_empty_graph()):
         raise NotRegularInput("token graph is not regular")
+    from fractions import Fraction  # imported here: its import, with `decimal`, would cost every run
+
     return Fraction(k if g.is_complete() else 0)
 
 
-@dataclass(frozen=True)
-class TokenPlanarity:
+class TokenPlanarity(Record):
     """Planarity verdict for F_k(g) plus how it was obtained.
 
     method is "characterization" (the large-order path criterion),

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .canon import canonical_form, canonical_graph6
 from .classify import classify_planarity, classify_regularity
@@ -118,7 +117,7 @@ def _cmd_planar(args) -> int:
 def _cmd_classify(args) -> int:
     g = _read_one_graph(args)
     classify = classify_regularity if args.what == "regularity" else classify_planarity
-    print(json.dumps(asdict(classify(g, args.k))))
+    print(json.dumps(classify(g, args.k).to_dict()))
     return 0
 
 

@@ -21,9 +21,9 @@ constant patterns are planned once, at import.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .errors import BadK, InvalidScript
 from .graphs import (
     Graph,
@@ -41,7 +41,7 @@ from .subsets import SubsetCodec
 from .tokens import _check_k, build_token_graph
 
 
-class _Op:
+class _Op(Record):
     """A script step: its `code` and its fields, in order, make up its line.
 
     Iterating an operation yields ("dv", v), ("de", u, v) or ("ce", u, v),
@@ -62,20 +62,17 @@ class _Op:
         return " ".join(map(str, self))
 
 
-@dataclass(frozen=True)
 class DeleteVertex(_Op):
     v: int
     code = "dv"
 
 
-@dataclass(frozen=True)
 class DeleteEdge(_Op):
     u: int
     v: int
     code = "de"
 
 
-@dataclass(frozen=True)
 class ContractEdge(_Op):
     u: int
     v: int
@@ -121,16 +118,14 @@ def apply_script(g: Graph, ops) -> Graph:
     return _edit(g, ops)
 
 
-@dataclass(frozen=True)
-class LiftedStep:
+class LiftedStep(Record):
     """The token-graph operations produced by one base-graph operation."""
 
     base_op: Operation
     ops: tuple
 
 
-@dataclass(frozen=True)
-class LiftedScript:
+class LiftedScript(Record):
     k: int
     steps: tuple[LiftedStep, ...]
 

@@ -31,10 +31,10 @@ between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._record import Record
 from .errors import SizeLimitExceeded
 from .graphs import Graph, _bits, _edit, _mask
 from .minors import nonplanarity_by_minor
@@ -43,8 +43,7 @@ from .tokens import _check_k, build_token_graph
 ORACLE_MAX_N = 10
 
 
-@dataclass(frozen=True)
-class PlanarityVerdict:
+class PlanarityVerdict(Record):
     """Outcome plus which stage decided it.
 
     method is "euler-bound" when the edge count rejected the graph

@@ -52,9 +52,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import count
 
+from ._record import Record
 from .canon import canonical_data, canonical_graph6
 from .errors import BadK, SizeLimitExceeded, TokenGraphError
 from .graph6 import _lines, _parse, _unpack
@@ -69,7 +69,6 @@ GENERATOR_MAX_N = 14
 # canonical-form growth
 
 
-@dataclass(slots=True)
 class _Rep:
     """A class representative with its canonical graph6 string and automorphism generators.
 
@@ -80,9 +79,12 @@ class _Rep:
     label.
     """
 
-    g: Graph
-    label: str | None = None
-    gens: tuple | None = None  # the shared empty tuple when none was found
+    __slots__ = ("g", "label", "gens")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.label = None  # canonical graph6 string
+        self.gens = None  # a tuple; the shared empty tuple when none was found
 
     def labelled(self) -> "_Rep":
         if self.gens is None:
@@ -410,16 +412,14 @@ def connected_graphs(n: int, m: int, *, from_file: str | None = None):
 # edge-maximal search
 
 
-@dataclass(frozen=True)
-class SearchEntry:
+class SearchEntry(Record):
     n: int
     m: int
     generated: int  # connected candidates examined at this level
     survivors: int  # of those, how many have planar token graphs
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     k: int
     entries: tuple[SearchEntry, ...]
     maximal: tuple[str, ...]  # canonical graph6, sorted
@@ -431,15 +431,7 @@ class SearchReport:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "entries": [
-                {
-                    "n": e.n,
-                    "m": e.m,
-                    "generated": e.generated,
-                    "survivors": e.survivors,
-                }
-                for e in self.entries
-            ],
+            "entries": [e.to_dict() for e in self.entries],
             "maximal": list(self.maximal),
             "stopped_at": {str(n): m for n, m in sorted(self.stopped_at.items())},
             "elapsed_secs": round(self.elapsed_secs, 3),

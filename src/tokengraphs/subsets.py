@@ -8,15 +8,14 @@ colexicographic order. Ranks are the vertex ids of token graphs.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import comb
 
+from ._record import Record
 from .errors import IndexOutOfRange
 from .graphs import _bits, _mask
 
 
-@dataclass(frozen=True)
-class KSubset:
+class KSubset(Record):
     """A k-subset of {0..n-1}, stored as a strictly increasing tuple."""
 
     members: tuple[int, ...]
@@ -59,6 +58,14 @@ class SubsetCodec:
         self.n = n
         self.k = k
         self.size = comb(n, k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.k == other.k
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.k))
 
     def masks(self) -> Iterator[int]:
         """Yield every k-subset as a bitmask, in rank order.

@@ -40,9 +40,9 @@ bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The vertex budget of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import Record
 from .errors import BadK, BudgetExceeded
 from .graphs import Graph, _bits, _relabeled, complete_graph
 from .subsets import KSubset, SubsetCodec
@@ -50,8 +50,7 @@ from .subsets import KSubset, SubsetCodec
 DEFAULT_VERTEX_BUDGET = 10**5
 
 
-@dataclass(frozen=True)
-class TokenGraph:
+class TokenGraph(Record):
     """A built token graph together with its base graph and subset codec."""
 
     base: Graph

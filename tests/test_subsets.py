@@ -82,6 +82,14 @@ def test_codec_argument_validation():
         SubsetCodec(-1, 0)
 
 
+def test_codecs_compare_by_order_and_size():
+    assert SubsetCodec(6, 2) == SubsetCodec(6, 2)
+    assert hash(SubsetCodec(6, 2)) == hash(SubsetCodec(6, 2))
+    assert SubsetCodec(6, 2) != SubsetCodec(6, 3)
+    assert SubsetCodec(6, 2) != SubsetCodec(7, 2)
+    assert SubsetCodec(6, 2) != (6, 2)
+
+
 def test_codec_has_no_order_cap():
     """F_1(P_70) is P_70 itself, token vertex i being the subset {i}."""
     tg = build_token_graph(path_graph(70), 1)

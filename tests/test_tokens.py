@@ -190,6 +190,15 @@ def test_vertex_labels():
     ]
 
 
+def test_two_builds_of_one_pair_are_equal():
+    """A token graph compares by value: base, k, rows and codec."""
+    a, b = build_token_graph(cycle_graph(6), 2), build_token_graph(cycle_graph(6), 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_token_graph(cycle_graph(6), 3)
+    assert a != build_token_graph(path_graph(6), 2)
+    assert len({a, b}) == 1
+
+
 def test_famous_small_cases():
     octa = build_token_graph(complete_graph(4), 2).graph
     assert (octa.n, octa.m) == (6, 12)
