@@ -153,7 +153,6 @@ def _cmd_search(args) -> int:
         range(2 * args.k if args.n_min is None else args.n_min, args.n_max + 1),
         budget_secs=args.budget_secs,
         prune=not args.verbatim,
-        from_file=args.from_file,
     )
     payload = json.dumps(report.to_json(), indent=2)
     if args.out:
@@ -210,9 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, help="ignored: the search runs in one process")
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument(
-        "--from-file", help="graph6 stream of complete levels, as geng -c writes them"
-    )
     p.add_argument(
         "--verbatim",
         action="store_true",

@@ -116,7 +116,9 @@ class _LeftRight:
 
     def _orient(self, root: int) -> None:
         height, parent_edge = self.height, self.parent_edge
-        stack = [(root, _bits(self.rows[root]))]
+        # a frame keeps its neighbours as a list: a `_bits` generator would keep
+        # two ints as wide as the row, so a DFS as deep as V would hold O(V^2) bits
+        stack = [(root, iter(list(_bits(self.rows[root]))))]
         while stack:
             v, it = stack[-1]
             for w in it:
@@ -131,7 +133,7 @@ class _LeftRight:
                 if height[w] is None:  # tree edge
                     parent_edge[w] = ei
                     height[w] = height[v] + 1
-                    stack.append((w, _bits(self.rows[w])))
+                    stack.append((w, iter(list(_bits(self.rows[w])))))
                     break
                 self.lowpt[ei] = height[w]  # back edge
                 self._finish_edge(ei)

@@ -18,8 +18,9 @@ child is labelled later only if it is grown or checked for maximality. In
 edge is deletable. The search starts from the trees on n vertices, which
 `_trees` generates directly, one per class, as the canonical level sequences
 of the trees rooted at a centre (Wright, Richmond, Odlyzko & McKay, 1986),
-with no smaller order and no labelling until a tree is grown; it grows every
-later level from the one before, and there an edge is deletable iff it is not a bridge, so that
+with no smaller order and no labelling until a tree is grown, or which it
+extends from the previous order (below); it grows every later level from the
+one before, and there an edge is deletable iff it is not a bridge, so that
 deleting it leaves a connected graph of the previous level. No class is
 lost: delete from H a deletable edge of maximum invariant; the previous
 level holds the class of the result, and its representative plus the image
@@ -34,18 +35,25 @@ a child of a survivor at level m - 1 (its canonical deletion among them),
 and a survivor is edge-maximal iff no survivor of level m + 1 loses an edge
 to it. The two modes differ only in which level they grow from: "pruned"
 mode (the default) grows from the previous level's survivors, "verbatim"
-mode from the whole previous level, which cross-checks the pruning. "file"
-mode reads each level from a graph6 stream instead of growing it; each
-level there must be complete, as `geng -c` writes it. One search generates
-the trees of each order once, and reads and checks its graph6 stream once:
-each line stays packed by (n, m) until the search reaches its level, and
-the levels above a stop are never unpacked.
+mode from the whole previous level, which cross-checks the pruning.
 
-`GENERATOR_MAX_N` caps the trees, `graph_classes` and verbatim mode; the
-budget is checked only between levels, so the cap bounds the tree level
-(3,159 trees at n = 14), which no budget can cut short. For 11 <= n <= 14 a
-pruned search stays near the trees: k = 2 keeps only the path and stops at
-m = n, and k >= 3 stops at the trees.
+Planarity is also hereditary in the base's vertices: for k <= n - 1,
+F_k(G - v) is the subgraph of F_k(G) induced on the k-subsets that avoid v
+(Fabila-Monroy et al., Graphs Combin. 28, 2012), so a tree T with a planar
+F_k(T) loses a leaf to a tree of order n - 1 whose F_k is planar too. The
+search needs n >= 2k, so the condition holds at every order it searches. So
+in pruned mode, an order whose predecessor was searched in the same run
+takes as its tree level the leaf extensions of that order's tree survivors
+(`_leaf_extensions`), and its `generated` counts those classes, not every
+tree; the first order of a range, and every order in verbatim mode, walks
+`_trees(n)`.
+
+`GENERATOR_MAX_N` caps `graph_classes`, verbatim mode and the orders that
+walk `_trees`; the budget is checked only between levels, so the cap bounds
+the tree level (3,159 trees at n = 14), which no budget can cut short. A
+pruned range that starts at or below the cap reaches any n: past n = 10,
+k = 2 keeps only the path, which the next order extends by a leaf, and
+stops at m = n, while k >= 3 stops at the trees.
 """
 
 from __future__ import annotations
@@ -57,7 +65,6 @@ from itertools import count
 from ._record import Record
 from .canon import canonical_data, canonical_graph6
 from .errors import BadK, SizeLimitExceeded, TokenGraphError
-from .graph6 import _lines, _parse, _unpack
 from .graphs import Graph, _bits, empty_graph
 from .planarity import token_planarity
 from .tokens import _check_interior_k
@@ -244,6 +251,27 @@ def _grow(level: list[_Rep], connected: bool) -> list[_Rep]:
     return _dedup(_accepted_children(level, connected))
 
 
+def _leaf_extensions(trees: list[_Rep]) -> list[_Rep]:
+    """The trees that hang one new leaf w on a tree of `trees`, one per class.
+
+    Each tree is padded with an isolated w, which its automorphisms fix, so
+    the non-edges (u, w) that lead their orbits give one new leaf per orbit of
+    Aut on the vertices. Two trees can still have extensions of one class (a
+    tree with two kinds of leaf loses either), so every extension is labelled.
+    """
+
+    def extensions():
+        for rep in trees:
+            g = rep.labelled().g
+            w = g.n
+            padded = Graph._from_adj([*g._adj, 0], g.m)
+            for u, v in _orbit_leaders(padded, [perm + (w,) for perm in rep.gens]):
+                if v == w:
+                    yield padded.with_edge(u, w), False
+
+    return _dedup(extensions())
+
+
 def _trees(n: int) -> list[Graph]:
     """One tree per isomorphism class on n >= 1 vertices, generated directly.
 
@@ -343,8 +371,7 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
         return ()
     if n > GENERATOR_MAX_N:
         raise SizeLimitExceeded(
-            f"built-in generation is capped at n <= {GENERATOR_MAX_N}; "
-            "stream larger orders from a graph6 file instead"
+            f"graph classes are generated only for n <= {GENERATOR_MAX_N}"
         )
     total = n * (n - 1) // 2
     if m > total:
@@ -371,35 +398,8 @@ def _sparse_classes(n: int, m: int) -> tuple[_Rep, ...]:
     return level
 
 
-def _read_levels(path: str, orders) -> dict[tuple[int, int], list[bytes]]:
-    """The lines of a graph6 file with an order in `orders`, checked and kept packed, by (n, m).
-
-    Every line is checked here, so a malformed one fails before any search;
-    each bucket keeps the file's order and duplicates, and `_file_level`
-    unpacks it when the search reaches it.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    levels: dict[tuple[int, int], list[bytes]] = {}
-    for line in _lines(text):
-        n, m, stream = _parse(line)
-        if n in orders:
-            levels.setdefault((n, m), []).append(stream)
-    return levels
-
-
-def _file_level(levels, n: int, m: int) -> list[_Rep]:
-    """One graph per class of the connected (n, m)-graphs of a file read by `_read_levels`."""
-    graphs = (Graph._from_adj(_unpack(n, stream), m) for stream in levels.get((n, m), ()))
-    return _dedup((g, False) for g in graphs if g.is_connected())
-
-
-def connected_graphs(n: int, m: int, *, from_file: str | None = None):
+def connected_graphs(n: int, m: int):
     """Stream one representative per isomorphism class of connected (n, m)-graphs."""
-    if from_file is not None:
-        for rep in _file_level(_read_levels(from_file, {n}), n, m):
-            yield rep.g
-        return
     if m == n - 1 and 0 < n <= GENERATOR_MAX_N:
         yield from _trees(n)
         return
@@ -425,7 +425,7 @@ class SearchReport(Record):
     maximal: tuple[str, ...]  # canonical graph6, sorted
     stopped_at: dict[int, int]  # n -> first m with no connected survivor
     elapsed_secs: float
-    mode: str  # "pruned" | "verbatim" | "file"
+    mode: str  # "pruned" (grown from survivors) | "verbatim" (every connected class)
     partial: bool  # true when the wall-clock budget cut the run short
 
     def to_json(self) -> dict:
@@ -461,7 +461,6 @@ def edge_maximal_search(
     *,
     budget_secs: float | None = None,
     prune: bool = True,
-    from_file: str | None = None,
 ) -> SearchReport:
     """Find all connected graphs with planar k-token graphs that are edge-maximal.
 
@@ -469,7 +468,9 @@ def edge_maximal_search(
     pruned/verbatim distinction. The search runs in the calling process. A
     wall-clock `budget_secs` turns the report partial rather than raising; a
     negative, NaN or infinite one raises `TokenGraphError`, and an empty
-    `n_range` raises `BadK`.
+    `n_range` raises `BadK`. An order past `GENERATOR_MAX_N` raises
+    `SizeLimitExceeded` unless the search is pruned and the range holds the
+    order below it, whose tree survivors it then extends.
     """
     if k < 2:
         raise BadK(f"the search is defined for k >= 2, got k={k}")
@@ -482,26 +483,27 @@ def edge_maximal_search(
                 f"n={n} is below 2k={2 * k}; orders under 2k are answered by "
                 "the complement symmetry, not searched"
             )
-        if n > GENERATOR_MAX_N and from_file is None:
+        if n > GENERATOR_MAX_N and not (prune and n - 1 in ns):
             raise SizeLimitExceeded(
-                f"built-in generation is capped at n <= {GENERATOR_MAX_N}; "
-                "pass from_file=... to search larger orders"
+                f"the trees are generated only for n <= {GENERATOR_MAX_N}; a larger "
+                "order is searched in pruned mode, in one range with the order below it"
             )
     if budget_secs is not None and not (math.isfinite(budget_secs) and budget_secs >= 0):
         raise TokenGraphError(
             f"the search budget must be a finite number of seconds >= 0, got {budget_secs}"
         )
-    mode = "file" if from_file is not None else ("pruned" if prune else "verbatim")
     start = time.monotonic()
     deadline = math.inf if budget_secs is None else start + budget_secs
     entries: list[SearchEntry] = []
     maximal: list[str] = []
     stopped_at: dict[int, int] = {}
     partial = False
-    levels = None if from_file is None else _read_levels(from_file, set(ns))
+    trees = None  # the tree survivors of the order searched last
     for n in ns:
-        partial = _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at)
-        if partial:
+        seeds = trees if prune and n - 1 in ns else None
+        trees = _search_order(n, k, prune, seeds, deadline, entries, maximal, stopped_at)
+        if trees is None:
+            partial = True
             break
     return SearchReport(
         k=k,
@@ -509,28 +511,29 @@ def edge_maximal_search(
         maximal=tuple(sorted(maximal)),
         stopped_at=stopped_at,
         elapsed_secs=time.monotonic() - start,
-        mode=mode,
+        mode="pruned" if prune else "verbatim",
         partial=partial,
     )
 
 
-def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) -> bool:
-    """One order, level by level from m = n-1. Returns True when the budget ran out.
+def _search_order(n, k, prune, seeds, deadline, entries, maximal, stopped_at):
+    """One order, level by level from m = n-1: its tree survivors, or None if the budget ran out.
 
-    Survivors are reported maximal once the next level is tested; a budget
-    cut leaves the pending ones unreported.
+    The tree level is `_trees(n)`, or the leaf extensions of `seeds`, the
+    tree survivors of order n - 1. Survivors are reported maximal once the
+    next level is tested; a budget cut leaves the pending ones unreported.
     """
     level: list[_Rep] = []
     pending: list[_Rep] = []  # survivors of level m - 1, labelled when grown or checked here
     for m in count(n - 1):
         if time.monotonic() > deadline:
-            return True
-        if mode == "file":
-            level = _file_level(levels, n, m)
-        elif m == n - 1:
+            return None
+        if m > n - 1:
+            level = _grow(level, connected=True)
+        elif seeds is None:
             level = [_Rep(t) for t in _trees(n)]
         else:
-            level = _grow(level, connected=True)
+            level = _leaf_extensions(seeds)
         survivors = [rep for rep in level if token_planarity(rep.g, k).planar]
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
         if pending:
@@ -539,11 +542,13 @@ def _search_order(n, k, mode, levels, deadline, entries, maximal, stopped_at) ->
             parents = {canonical_graph6(h) for h in deletions}
             labels = (rep.labelled().label for rep in pending)
             maximal.extend(s for s in labels if s not in parents)
+        if m == n - 1:
+            seeds = survivors
         if not survivors:
             stopped_at[n] = m
-            return False
+            return seeds
         pending = survivors
-        if mode == "pruned":
+        if prune:
             level = survivors
 
 

@@ -35,7 +35,11 @@ g moves a token while k - 1 others sit on the remaining n - 2 vertices.
 
 Rows are bitmask ints of up to V bits, so a build can hold up to about V²/8
 bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The vertex budget of
-10^5 bounds that by 10^10/8 bytes, about 1.2 GiB.
+10^5 bounds that by 10^10/8 bytes, about 1.2 GiB. The left-right test
+holds O(V + E) on top: it runs only on a graph with E <= 3V - 6 (the Euler
+bound rejects the rest first), and keeps about 600 bytes of RSS per edge
+(F_2(P_300): 89,102 edges, 50 MB), so at the budget a planarity test of a
+build may hold about 1.2 GiB of rows plus about 0.2 GiB of its own.
 """
 
 from __future__ import annotations

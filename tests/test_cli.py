@@ -219,7 +219,6 @@ def test_non_ascii_input_is_an_input_error(tmp_path, capsys):
     for argv in (
         ("canon", "--file", str(bad)),
         ("lift", "-k", "2", "--graph6", "C~", "--script", str(bad)),
-        ("search", "-k", "2", "--n-min", "5", "--n-max", "5", "--from-file", str(bad)),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -245,6 +244,15 @@ def test_single_graph_commands_reject_several_graphs(tmp_path, monkeypatch, caps
         assert code == 2, argv
         assert out == ""
         assert err == "error: expected exactly one graph, got 2\n"
+
+
+def test_search_has_no_file_mode(capsys):
+    """Pruned mode extends each order's trees itself, so no graph6 stream is read."""
+    with pytest.raises(SystemExit) as info:
+        main(["search", "-k", "2", "--n-max", "5", "--from-file", "x"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert "unrecognized arguments: --from-file x" in err and "Traceback" not in err
 
 
 def test_search_n_min_zero_is_not_ignored(capsys):

@@ -26,7 +26,6 @@ from tokengraphs import (
     edge_maximal_search,
     encode_graph6,
     graph_classes,
-    iter_graph6,
     path_graph,
     star_graph,
     verify_maximality,
@@ -40,6 +39,7 @@ from tokengraphs.search import (
     _trees,
 )
 
+from counting import class_counts, connected_counts, tree_counts
 from util import shuffled, tree_code
 
 # published counts of isomorphism classes of simple graphs (OEIS A000088, A001349)
@@ -53,30 +53,15 @@ TREES = {
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def write_complete_levels(path, orders):
-    """Every connected class of every (n, m) level for n in `orders`, as graph6 lines."""
-    lines = [
-        encode_graph6(g)
-        for n in orders
-        for m in range(n - 1, n * (n - 1) // 2 + 1)
-        for g in connected_graphs(n, m)
-    ]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 def test_generator_counts_match_published_values():
+    """Every (n, m) level holds as many classes as Burnside's lemma counts, and
+    the counts add up to the published totals."""
     for n in sorted(TOTAL_CLASSES):
-        total = sum(
-            len(graph_classes(n, m)) for m in range(n * (n - 1) // 2 + 1)
-        )
-        assert total == TOTAL_CLASSES[n]
-        connected = sum(
-            1
-            for m in range(n * (n - 1) // 2 + 1)
-            for _ in connected_graphs(n, m)
-        )
-        assert connected == CONNECTED_CLASSES[n]
+        assert sum(class_counts(n)) == TOTAL_CLASSES[n]
+        assert sum(connected_counts(n)) == CONNECTED_CLASSES[n]
+        for m in range(n * (n - 1) // 2 + 1):
+            assert len(graph_classes(n, m)) == class_counts(n)[m], (n, m)
+            assert sum(1 for _ in connected_graphs(n, m)) == connected_counts(n)[m], (n, m)
 
 
 def test_generated_classes_are_distinct_and_correctly_sized():
@@ -95,11 +80,15 @@ def test_tree_counts():
 
 
 def test_trees_match_published_counts():
+    otter = tree_counts(16)
     for n, count in TREES.items():
+        assert otter[n] == count
         trees = _trees(n)
         assert len(trees) == count
         assert all(t.n == n and t.is_tree() for t in trees)
         assert len({tree_code(t) for t in trees}) == count
+    for n in (15, 16):  # past the typed values: Otter's count alone
+        assert len(_trees(n)) == otter[n]
 
 
 def test_tree_code_is_an_isomorphism_invariant():
@@ -299,13 +288,12 @@ def test_growth_labels_only_accepted_children(monkeypatch):
     # every child of every parent would be 11,236; every accepted child, 2,594;
     # one per orbit, 2,026; only the children that tie on the invariant, 1,404
     assert labelled < 1450
-    for e in report.entries:
-        assert e.generated == sum(1 for _ in connected_graphs(e.n, e.m))
+    for e in report.entries:  # verbatim mode examines every connected class of each level
+        assert e.generated == connected_counts(e.n)[e.m]
 
 
-def test_search_labels_only_connected_graphs(monkeypatch, tmp_path):
-    """Growth, file levels and maximality never label a disconnected graph."""
-    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6))
+def test_search_labels_only_connected_graphs(monkeypatch):
+    """Growth, leaf extension and maximality never label a disconnected graph."""
 
     def connected_only(g):
         assert g.is_connected(), encode_graph6(g)
@@ -314,7 +302,6 @@ def test_search_labels_only_connected_graphs(monkeypatch, tmp_path):
     for k, lo, hi in ((2, 5, 10), (3, 6, 8), (4, 8, 10)):
         edge_maximal_search(k, range(lo, hi + 1))
     edge_maximal_search(2, range(5, 9), prune=False)
-    edge_maximal_search(2, range(5, 7), from_file=levels)
 
 
 def test_dense_levels_use_complements():
@@ -334,16 +321,9 @@ def test_graph_classes_of_a_negative_order_or_size_are_empty():
     assert graph_classes(-2, -3) == ()
 
 
-def test_generator_size_cap_and_file_escape_hatch(tmp_path):
+def test_generator_size_cap_and_file_escape_hatch():
     with pytest.raises(SizeLimitExceeded):
         graph_classes(15, 3)
-    path = tmp_path / "n11.g6"
-    graphs = [path_graph(11), cycle_graph(11), shuffled(random.Random(1), path_graph(11))]
-    path.write_text("\n".join(encode_graph6(g) for g in graphs) + "\n")
-    got = list(connected_graphs(11, 10, from_file=str(path)))
-    # the shuffled path collapses onto the first copy; the cycle has 11 edges
-    assert len(got) == 1
-    assert got[0].degree_multiset() == path_graph(11).degree_multiset()
     with pytest.raises(SizeLimitExceeded):
         list(connected_graphs(15, 14))  # the trees keep the generator's cap
 
@@ -407,7 +387,8 @@ def test_k3_census_past_ten_stops_at_the_trees():
     report = edge_maximal_search(3, range(11, 15))
     assert report.maximal == ()
     assert report.stopped_at == {n: n - 1 for n in range(11, 15)}
-    assert [e.generated for e in report.entries] == [TREES[n] for n in range(11, 15)]
+    # n = 11 walks every tree; the later orders extend its survivors, of which there are none
+    assert [e.generated for e in report.entries] == [TREES[11], 0, 0, 0]
     assert not report.partial
 
 
@@ -417,7 +398,12 @@ def test_search_rejects_bad_ranges():
     with pytest.raises(BadK):
         edge_maximal_search(3, range(5, 6))  # n < 2k has no 2 <= k <= n-2 story
     with pytest.raises(SizeLimitExceeded):
-        edge_maximal_search(2, range(14, 16))
+        edge_maximal_search(2, range(15, 17))  # the first order walks the trees
+    with pytest.raises(SizeLimitExceeded):
+        edge_maximal_search(2, [13, 15])  # nothing to extend at n = 15
+    with pytest.raises(SizeLimitExceeded):
+        edge_maximal_search(2, range(14, 16), prune=False)  # verbatim walks every order's trees
+    assert edge_maximal_search(2, range(14, 16)).stopped_at == {14: 14, 15: 15}
     with pytest.raises(BadK):
         edge_maximal_search(2, range(4, 4))  # no order to search
 
@@ -442,7 +428,7 @@ def test_search_is_deterministic():
 
 def test_pruned_and_verbatim_modes_agree():
     """Frontier pruning must not change survivors, maximal set, or stops."""
-    for k, lo, hi in ((2, 5, 8), (3, 6, 8)):
+    for k, lo, hi in ((2, 5, 8), (3, 6, 9)):
         pruned = edge_maximal_search(k, range(lo, hi))
         full = edge_maximal_search(k, range(lo, hi), prune=False)
         assert pruned.maximal == full.maximal
@@ -454,7 +440,7 @@ def test_pruned_and_verbatim_modes_agree():
         assert pruned.mode == "pruned" and full.mode == "verbatim"
         # verbatim mode examines every connected class of each level
         for e in full.entries:
-            assert e.generated == sum(1 for _ in connected_graphs(e.n, e.m))
+            assert e.generated == connected_counts(e.n)[e.m]
 
 
 def test_search_stops_once_a_level_has_no_survivors():
@@ -467,15 +453,13 @@ def test_search_stops_once_a_level_has_no_survivors():
     assert stop < 6 * 5 // 2
 
 
-def test_every_reported_graph_passes_maximality_from_its_string(tmp_path):
+def test_every_reported_graph_passes_maximality_from_its_string():
     """The maximality read off the next level agrees with the direct check."""
-    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6))
     reports = [
         edge_maximal_search(k, range(lo, hi + 1), prune=prune)
         for k, lo, hi in ((2, 5, 8), (3, 6, 8))
         for prune in (True, False)
     ]
-    reports.append(edge_maximal_search(2, range(5, 7), from_file=levels))
     for report in reports:
         assert report.maximal
         for text in report.maximal:
@@ -492,15 +476,6 @@ def test_census_does_not_call_verify_maximality(monkeypatch):
     report = edge_maximal_search(2, range(5, 11))
     golden = (GOLDEN / "maximal_k2.g6").read_text().split()
     assert list(report.maximal) == sorted(golden)
-
-
-def test_file_mode_on_complete_levels_matches_verbatim(tmp_path):
-    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6))
-    from_file = edge_maximal_search(2, range(5, 7), from_file=levels).to_json()
-    verbatim = edge_maximal_search(2, range(5, 7), prune=False).to_json()
-    for blob in (from_file, verbatim):
-        blob.pop("mode"), blob.pop("elapsed_secs")
-    assert from_file == verbatim
 
 
 def test_budget_flag_yields_partial_reports():
@@ -530,42 +505,6 @@ def test_importing_the_package_starts_no_process_machinery():
     assert out.stdout.strip() == "[]"
 
 
-def test_file_mode_reads_its_stream_once(tmp_path, monkeypatch):
-    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6, 7))
-    passes = []
-    read = tokengraphs.search._read_levels
-
-    def counting(path, orders):
-        passes.append(path)
-        return read(path, orders)
-
-    monkeypatch.setattr(tokengraphs.search, "_read_levels", counting)
-    report = edge_maximal_search(2, range(5, 8), from_file=levels)
-    assert len(passes) == 1
-    assert len(report.entries) > 3  # many levels, one pass
-    verbatim = edge_maximal_search(2, range(5, 8), prune=False)
-    assert report.maximal == verbatim.maximal
-
-
-def test_file_mode_unpacks_only_the_levels_it_reaches(tmp_path, monkeypatch):
-    """Lines stay packed until the search reaches their level, and above its stop never unpack."""
-    levels = write_complete_levels(tmp_path / "levels.g6", (5, 6, 7))
-    unpacked = Counter()
-    unpack = tokengraphs.search._unpack
-
-    def counting(n, stream):
-        adj = unpack(n, stream)
-        unpacked[n, sum(row.bit_count() for row in adj) // 2] += 1
-        return adj
-
-    monkeypatch.setattr(tokengraphs.search, "_unpack", counting)
-    report = edge_maximal_search(2, range(5, 8), from_file=levels)
-    lines = Counter((g.n, g.m) for g in iter_graph6(Path(levels).read_text()))
-    reached = {(n, m): c for (n, m), c in lines.items() if m <= report.stopped_at[n]}
-    assert unpacked == reached
-    assert sum(reached.values()) < sum(lines.values())
-
-
 def test_search_grows_the_trees_once(monkeypatch):
     calls = []
     trees = tokengraphs.search._trees
@@ -576,18 +515,20 @@ def test_search_grows_the_trees_once(monkeypatch):
 
     monkeypatch.setattr(tokengraphs.search, "_trees", counting)
     report = edge_maximal_search(2, range(5, 11))
-    assert calls == list(range(5, 11))
-    assert [e.generated for e in report.entries if e.m == e.n - 1] == [
-        TREES[n] for n in range(5, 11)
-    ]
+    assert calls == [5]  # n = 6..10 extend the previous order's tree survivors
+    assert report.entries[0].generated == TREES[5]
+    calls.clear()
+    edge_maximal_search(2, range(5, 10), prune=False)
+    assert calls == list(range(5, 10))
 
 
-def test_search_accepts_a_graph_file(tmp_path):
-    path = tmp_path / "candidates.g6"
-    lines = []
-    for m in range(4, 11):
-        lines += [encode_graph6(g) for g in connected_graphs(5, m)]
-    path.write_text("\n".join(lines) + "\n")
-    report = edge_maximal_search(2, range(5, 6), from_file=str(path))
-    assert report.mode == "file"
-    assert report.maximal == ("DZ[", "DmW")
+@pytest.mark.parametrize("k, lo, hi", [(2, 6, 16), (3, 7, 14), (4, 9, 14)])
+def test_leaf_extensions_keep_every_surviving_tree(monkeypatch, k, lo, hi):
+    """The tree survivors grown from the order below equal those of all of `_trees(n)`."""
+    monkeypatch.setattr(tokengraphs.search, "GENERATOR_MAX_N", hi)
+    report = edge_maximal_search(k, range(lo, hi + 1))
+    trees = {e.n: e.survivors for e in report.entries if e.m == e.n - 1}
+    for n in range(lo, hi + 1):
+        alone = edge_maximal_search(k, range(n, n + 1)).entries[0]
+        assert alone.generated == tree_counts(hi)[n]
+        assert trees[n] == alone.survivors, (k, n)
