@@ -17,7 +17,7 @@ script of thousands of steps on a token graph rewrites its rows once.
 
 from __future__ import annotations
 
-from .errors import NoSuchVertex, NotAnEdge, UnsupportedPattern
+from .errors import InvalidScript, NoSuchVertex, NotAnEdge, UnsupportedPattern
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -258,13 +258,16 @@ def _edit(g: Graph, ops) -> Graph:
     index in g while the script runs: `label` lists the live indices in
     label order, a deletion pops one of them and a contraction merges the
     higher label's row into the lower one, so `label` stays increasing.
-    Raises NoSuchVertex or NotAnEdge for the first step that does not apply.
+    Raises InvalidScript for the first step that is none of these forms,
+    and NoSuchVertex or NotAnEdge for the first step that does not apply.
     """
     adj = list(g._adj)
     label = list(range(g.n))
     gone = []  # the indices that left `label`
     m = g.m
     for code, *ends in ops:
+        if len(ends) != (1 if code == "dv" else 2) or code not in ("dv", "de", "ce"):
+            raise InvalidScript(f"step {(code, *ends)!r} is none of dv v, de u v, ce u v")
         if code != "dv":
             ends = normalize_edge(*ends)
         n = len(label)
@@ -380,50 +383,40 @@ def petersen_graph() -> Graph:
 # cycles
 
 
-def _two_core(g: Graph) -> int:
-    """Bitmask of the 2-core (every cycle lives inside it)."""
-    alive = (1 << g.n) - 1
-    changed = True
-    while changed:
-        changed = False
-        for v in _bits(alive):
-            if (g._adj[v] & alive).bit_count() < 2:
-                alive &= ~(1 << v)
-                changed = True
-    return alive
+def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
+    """Early-exit test for a cycle with >= `length` vertices (no size cap).
 
-
-def _has_cycle_from(g: Graph, start: int, allowed: int, target: int) -> bool:
-    """True iff a cycle of >= `target` vertices runs through `start` inside `allowed`.
-
-    Vertices below `start` are excluded by the caller, so each cycle is
-    counted once, rooted at its minimum vertex.
+    Every cycle lies in the 2-core, which one worklist peel finds in linear
+    time (Batagelj & Zaversnik, 2003): a vertex of degree < 2 leaves, and
+    each neighbour it leaves behind with one live neighbour follows. Then a
+    walk of simple paths from each core vertex s, inside the core vertices
+    >= s, finds each cycle once, from its minimum vertex.
     """
     adj = g._adj
-    start_bit = 1 << start
-    # stack entries: (vertex, visited mask, path length in edges)
-    stack = [(start, start_bit, 0)]
-    while stack:
-        v, visited, length = stack.pop()
-        nbrs = adj[v] & allowed
-        if length >= 2 and length + 1 >= target and nbrs & start_bit:
-            return True
-        for w in _bits(nbrs & ~visited):
-            stack.append((w, visited | (1 << w), length + 1))
-    return False
-
-
-def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
-    """Early-exit test for a cycle with >= `length` vertices (no size cap)."""
-    core = _two_core(g)
-    if core.bit_count() < length:
-        return False
+    deg = [a.bit_count() for a in adj]
+    todo = [v for v, d in enumerate(deg) if d < 2]
+    core = (1 << g.n) - 1
+    while todo:
+        v = todo.pop()
+        core ^= 1 << v
+        for w in _bits(adj[v] & core):  # at most one live neighbour
+            deg[w] -= 1
+            if deg[w] == 1:
+                todo.append(w)
     for s in _bits(core):
-        allowed = core & ~((1 << s) - 1)
-        if allowed.bit_count() < length:
-            continue
-        if _has_cycle_from(g, s, allowed, length):
-            return True
+        allowed = core & (-1 << s)
+        if allowed.bit_count() < length:  # fewer still for every later s
+            return False
+        start_bit = 1 << s
+        # stack entries: (vertex, visited mask, path length in edges)
+        stack = [(s, start_bit, 0)]
+        while stack:
+            v, visited, edges = stack.pop()
+            nbrs = adj[v] & allowed
+            if edges >= 2 and edges + 1 >= length and nbrs & start_bit:
+                return True
+            for w in _bits(nbrs & ~visited):
+                stack.append((w, visited | (1 << w), edges + 1))
     return False
 
 

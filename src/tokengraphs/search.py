@@ -59,6 +59,7 @@ stops at m = n, while k >= 3 stops at the trees.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from itertools import count
 
@@ -468,13 +469,17 @@ def edge_maximal_search(
     pruned/verbatim distinction. The search runs in the calling process. A
     wall-clock `budget_secs` turns the report partial rather than raising; a
     negative, NaN or infinite one raises `TokenGraphError`, and an empty
-    `n_range` raises `BadK`. An order past `GENERATOR_MAX_N` raises
-    `SizeLimitExceeded` unless the search is pruned and the range holds the
-    order below it, whose tree survivors it then extends.
+    `n_range`, or one with a non-integer order, raises `BadK`. An order
+    past `GENERATOR_MAX_N` raises `SizeLimitExceeded` unless the search is
+    pruned and the range holds the order below it, whose tree survivors it
+    then extends.
     """
     if k < 2:
         raise BadK(f"the search is defined for k >= 2, got k={k}")
-    ns = sorted(set(int(n) for n in n_range))
+    try:
+        ns = sorted(set(map(operator.index, n_range)))
+    except TypeError as exc:
+        raise BadK(f"the search orders must be integers: {exc}") from None
     if not ns:
         raise BadK("the order range is empty; there is no order to search")
     for n in ns:

@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
 from tokengraphs import (
     Graph,
+    InvalidScript,
     NoSuchVertex,
     NotAnEdge,
     UnsupportedPattern,
@@ -141,6 +143,11 @@ def test_edit_errors_name_the_step():
     # within a script, the labels and the range are those the failing step sees
     with pytest.raises(NoSuchVertex, match=r"^vertex 4 outside 0\.\.3$"):
         apply_script(g, parse_script("dv 0\nde 0 1\nde 0 4"))
+    # a step of another code or arity is named, not run as its nearest form
+    p4 = path_graph(4)
+    for step in [("zz", 0, 1), ("dv", 0, 1), ("de", 0), ("ce", 0, 1, 2), ("dv",)]:
+        with pytest.raises(InvalidScript, match=r"^step \(" + re.escape(repr(step)[1:])):
+            apply_script(p4, [("de", 0, 1), step])
 
 
 def test_complement_involution_and_size():
@@ -224,6 +231,33 @@ def test_has_cycle_of_length_at_least():
                 [(i, i + 1) for i in range(30, 39)])
     assert has_cycle_of_length_at_least(big, 30)
     assert not has_cycle_of_length_at_least(big, 31)
+
+
+def test_has_cycle_of_length_at_least_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(27)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 9), rng.random())
+        h = nx.Graph(g.edges())
+        longest = max(map(len, nx.simple_cycles(h)), default=0)
+        for length in range(11):
+            # any cycle has at least 3 vertices
+            want = longest >= max(length, 3)
+            assert has_cycle_of_length_at_least(g, length) == want, (g.edges(), length)
+
+
+def test_has_cycle_of_length_at_least_on_lollipops():
+    """P_n with one chord closing a 4- or 5-cycle at either end.
+
+    The 2-core peel is linear, so the long tail costs one pass.
+    """
+    for n in (5, 6, 40, 4000):
+        for size in (4, 5):
+            for low in (True, False):
+                chord = (0, size - 1) if low else (n - size, n - 1)
+                g = Graph(n, [(i, i + 1) for i in range(n - 1)] + [chord])
+                assert has_cycle_of_length_at_least(g, size)
+                assert not has_cycle_of_length_at_least(g, size + 1)
 
 
 def test_subgraph_patterns():

@@ -321,7 +321,7 @@ def test_graph_classes_of_a_negative_order_or_size_are_empty():
     assert graph_classes(-2, -3) == ()
 
 
-def test_generator_size_cap_and_file_escape_hatch():
+def test_generator_size_caps():
     with pytest.raises(SizeLimitExceeded):
         graph_classes(15, 3)
     with pytest.raises(SizeLimitExceeded):
@@ -406,6 +406,8 @@ def test_search_rejects_bad_ranges():
     assert edge_maximal_search(2, range(14, 16)).stopped_at == {14: 14, 15: 15}
     with pytest.raises(BadK):
         edge_maximal_search(2, range(4, 4))  # no order to search
+    with pytest.raises(BadK, match="must be integers"):
+        edge_maximal_search(2, [5.7])  # not read as n = 5
 
 
 def test_search_report_round_trips_as_json():
