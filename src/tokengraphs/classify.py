@@ -156,7 +156,7 @@ def classify_regularity(g: Graph, k: int) -> RegularityVerdict:
     return RegularityVerdict(False, RegularityCase.NOT_REGULAR, k, witness)
 
 
-def uniform_substitution_degree(g: Graph, k: int) -> Fraction:
+def uniform_substitution_degree(g: Graph, k: int):
     """The constant c with |N(b) ∩ A| = c for all token vertices A and b ∉ A.
 
     Defined when both g (degree r1) and F_k(g) (degree r2) are regular, where
@@ -165,6 +165,7 @@ def uniform_substitution_degree(g: Graph, k: int) -> Fraction:
     and its complement; neither of the last two is regular for n >= 4. So
     g alone decides: it is K_n, where every b outside A sees all k tokens
     (c = k), or the edgeless graph (c = 0), and c has that closed form.
+    Returns c as a `fractions.Fraction`.
     """
     n = g.n
     _check_interior_k(n, k, "substitution degree")
@@ -197,6 +198,27 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
 
     For n > 10, F_k(g) is planar iff g is a path and k is 2 or n-2; below
     that, the verdict is `token_planarity`'s, with its stage as reason.
+
+    Proof of the rule for n >= 11. Write V = C(n, k) and E for the order and
+    size of a token graph. A spanning subgraph H of g gives a spanning
+    subgraph F_k(H) of F_k(g), and F_k(g - v) is the subgraph of F_k(g)
+    induced on the tokens that avoid v, so a non-planar F_k of either makes
+    F_k(g) non-planar.
+    - 3 <= k <= n-3 (this needs only n >= 9). A spanning tree T of g is
+      bipartite, so F_k(T) is too (a move changes the number of tokens on
+      one side by one), and E = (n-1) C(n-2, k-1) = V k(n-k)/n, which is at
+      least 3(n-3)V/n >= 2V > 2V - 4, past the bipartite planar bound.
+    - k = 2, and k = n-2 as F_k(g) ≅ F_{n-k}(g). F_2(P_n) is the subgraph of
+      the grid Z^2 induced on {(i, j) : i < j}, so it is planar. A connected
+      g that is not a path is C_n, which the cycle lemma rejects, or has a
+      vertex of degree >= 3, and a BFS tree from that vertex is a spanning
+      tree that is no path. A tree on n >= 12 vertices that is no path has
+      a leaf whose deletion leaves a tree that is no path: any leaf if it
+      has four leaves or more, and the end of a leg of length >= 2 if it is
+      a spider with three. By induction from n = 11, it is enough that F_2
+      is non-planar for each of the 234 trees on 11 vertices other than
+      P_11: the lemmas certify every one (158 by a path disjoint from a
+      claw, 76 by a vertex of degree five), which the tests check.
     """
     n = g.n
     _check_interior_k(n, k, "planarity classification")

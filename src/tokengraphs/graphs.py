@@ -17,6 +17,8 @@ script of thousands of steps on a token graph rewrites its rows once.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import InvalidScript, NoSuchVertex, NotAnEdge, UnsupportedPattern
 
 
@@ -41,12 +43,6 @@ def _mask(vertices) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
-
-
-def _drop_bit(mask: int, v: int) -> int:
-    """Remove bit position v from mask, shifting higher bits down by one."""
-    low = mask & ((1 << v) - 1)
-    return low | ((mask >> (v + 1)) << v)
 
 
 class Graph:
@@ -258,16 +254,23 @@ def _edit(g: Graph, ops) -> Graph:
     index in g while the script runs: `label` lists the live indices in
     label order, a deletion pops one of them and a contraction merges the
     higher label's row into the lower one, so `label` stays increasing.
-    Raises InvalidScript for the first step that is none of these forms,
-    and NoSuchVertex or NotAnEdge for the first step that does not apply.
+    Raises InvalidScript for the first step that is none of these forms (it
+    does not unpack, its code or arity is another, or a label is not an
+    integer), and NoSuchVertex or NotAnEdge for the first step that does
+    not apply.
     """
     adj = list(g._adj)
     label = list(range(g.n))
     gone = []  # the indices that left `label`
     m = g.m
-    for code, *ends in ops:
-        if len(ends) != (1 if code == "dv" else 2) or code not in ("dv", "de", "ce"):
-            raise InvalidScript(f"step {(code, *ends)!r} is none of dv v, de u v, ce u v")
+    for step in ops:
+        try:
+            code, *ends = step
+            ends = list(map(index, ends))
+        except (TypeError, ValueError):
+            code = None
+        if code not in ("dv", "de", "ce") or len(ends) != (1 if code == "dv" else 2):
+            raise InvalidScript(f"step {step!r} is none of dv v, de u v, ce u v")
         if code != "dv":
             ends = normalize_edge(*ends)
         n = len(label)

@@ -28,7 +28,6 @@ from .errors import BadK, InvalidScript
 from .graphs import (
     Graph,
     _contains_disjoint_planned,
-    _drop_bit,
     _edit,
     _has_planned,
     _mask,
@@ -137,68 +136,51 @@ class LiftedScript(Record):
 def lift_script(g: Graph, k: int, ops) -> LiftedScript:
     """Translate a base-graph script into an equivalent token-graph script.
 
-    `live[label]` is the base mask of the token vertex with that label, so
-    editing the list relabels as `Graph` does: a deletion compacts the labels
-    above it, and a contraction merges into the smaller label. The list stays
-    in increasing mask order, since a contraction keeps the smaller mask of
-    each matched pair and dropping a bit that no live mask holds keeps order;
-    so sorting masks sorts their labels, and the a-side of a matched pair has
-    the smaller label. Raises BadK unless 1 <= k < n holds both for g and
-    for the edited base, and InvalidScript for a step that names a vertex
-    out of range, a loop or an absent edge, or is not an operation.
+    Each step is applied to the base first, so `graphs._edit` alone decides
+    whether it is valid. Then `live[label]` is the base mask of the token
+    vertex with that label: the k-subsets of the current base in colex
+    order, read from `SubsetCodec`. Sorting masks therefore sorts labels,
+    and the a-side of a matched pair has the smaller label. A contraction
+    edits the list as the editor relabels: a merge keeps the smaller label,
+    and a deletion compacts the labels above it.
+
+    Raises what `apply_script(g, ops)` raises, InvalidScript for a step
+    that is not an operation record, and BadK unless 1 <= k < n holds for g
+    and again after each step.
     """
     _check_k(g.n, k)
-    live = list(SubsetCodec(g.n, k).masks())
     bg = g
     steps = []
     for op in ops:
-        emitted: list = []
-        doomed = 0  # tokens holding all these bits die with the step
-        if isinstance(op, DeleteVertex):
-            if not 0 <= op.v < bg.n:
-                raise InvalidScript(f"vertex {op.v} is out of range for n={bg.n}")
-            doomed, gone = 1 << op.v, op.v
-        elif isinstance(op, (DeleteEdge, ContractEdge)):
-            a, b = sorted((op.u, op.v))
-            if a < 0 or b >= bg.n:
-                raise InvalidScript(f"edge ({a},{b}) is out of range for n={bg.n}")
-            if a == b:
-                raise InvalidScript(f"edge ({a},{b}) is a loop")
-            if not bg.has_edge(a, b):
-                if isinstance(op, DeleteEdge):
-                    raise InvalidScript(f"edge ({a},{b}) is not present")
-                raise InvalidScript(f"edge ({a},{b}) cannot be contracted")
+        if not isinstance(op, _Op):
+            raise InvalidScript(f"unknown operation {op!r}")
+        edited = op.apply(bg)
+        if edited.n <= k:
+            raise BadK(
+                f"script shrinks the base to n={edited.n}, outside the buildable range for k={k}"
+            )
+        code, *ends = op
+        live = list(SubsetCodec(bg.n, k).masks())
+        emitted = []
+        if code != "dv":
+            a, b = sorted(ends)
             others = [v for v in range(bg.n) if v not in (a, b)]
             pairs = sorted(
-                (base | 1 << a, base | 1 << b)
-                for base in map(_mask, combinations(others, k - 1))
+                (x | 1 << a, x | 1 << b) for x in map(_mask, combinations(others, k - 1))
             )
-            if isinstance(op, DeleteEdge):
-                emitted = [
-                    DeleteEdge(bisect_left(live, x), bisect_left(live, y)) for x, y in pairs
-                ]
-            else:
-                for keep, drop in pairs:
-                    i, j = bisect_left(live, keep), bisect_left(live, drop)
-                    emitted.append(ContractEdge(i, j))
+            for keep, drop in pairs:
+                i, j = bisect_left(live, keep), bisect_left(live, drop)
+                emitted.append(_OPS[code](i, j))
+                if code == "ce":
                     live[min(i, j)] = keep
                     del live[max(i, j)]
-                doomed, gone = 1 << a | 1 << b, b
-        else:
-            raise InvalidScript(f"unknown operation {op!r}")
-        if doomed:
-            for i in reversed(range(len(live))):
-                if live[i] & doomed == doomed:
-                    emitted.append(DeleteVertex(i))
-                    del live[i]
-            live = [_drop_bit(m, gone) for m in live]
-        bg = op.apply(bg)
+        if code != "de":  # the tokens holding every end die with the step
+            doomed = _mask(ends)
+            emitted += [
+                DeleteVertex(i) for i in reversed(range(len(live))) if live[i] & doomed == doomed
+            ]
+        bg = edited
         steps.append(LiftedStep(base_op=op, ops=tuple(emitted)))
-    if bg.n <= k:
-        raise BadK(
-            f"script shrinks the base to n={bg.n}, "
-            f"outside the buildable range for k={k}"
-        )
     return LiftedScript(k=k, steps=tuple(steps))
 
 

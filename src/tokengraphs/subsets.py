@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from math import comb
+from operator import index
 
 from ._record import Record
 from .errors import IndexOutOfRange
@@ -92,7 +93,9 @@ class SubsetCodec:
         return self.rank_mask(_mask(members))
 
     def rank_mask(self, mask: int) -> int:
-        """Colex rank of a subset given as a bitmask."""
+        """Colex rank of a subset given as a bitmask: k set bits, each below n."""
+        if mask.bit_count() != self.k or mask >> self.n:
+            raise ValueError(f"mask {mask:#b} is not a {self.k}-subset of 0..{self.n - 1}")
         return sum(comb(v, i) for i, v in enumerate(_bits(mask), 1))
 
     def unrank(self, r: int) -> KSubset:
@@ -100,6 +103,7 @@ class SubsetCodec:
         return KSubset(tuple(_bits(self.unrank_mask(r))), self.n)
 
     def unrank_mask(self, r: int) -> int:
+        r = index(r)
         if not 0 <= r < self.size:
             raise IndexOutOfRange(f"rank {r} outside 0..{self.size - 1}")
         mask = 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,10 @@ from tokengraphs import (
     residual_degree_obstruction,
     star_graph,
     token_degree,
+    token_planarity,
     uniform_substitution_degree,
 )
+from tokengraphs.search import _trees
 
 from util import random_graph
 
@@ -313,3 +316,15 @@ def test_residual_certificate_graph_is_non_planar():
     nx = pytest.importorskip("networkx")
     planar, _ = nx.check_planarity(nx.Graph(edges))
     assert not planar
+
+
+def test_path_rule_base_case_holds_for_every_tree_on_11_vertices():
+    """The base case of `classify_planarity`'s n >= 11 proof: of the 235
+    trees on 11 vertices only P_11 has a planar F_2, and the paper's lemmas
+    reject each of the other 234 without a build."""
+    reasons = Counter()
+    for tree in _trees(11):
+        verdict = token_planarity(tree, 2)
+        assert verdict.planar == tree.is_path_graph()
+        reasons[verdict.method] += 1
+    assert reasons == {"left-right": 1, "disjoint-p3-k13": 158, "max-degree-5": 76}

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from tokengraphs import (
+    DeleteVertex,
     Graph,
     InvalidScript,
     NoSuchVertex,
@@ -17,6 +18,7 @@ from tokengraphs import (
     empty_graph,
     has_cycle_of_length_at_least,
     has_subgraph,
+    lift_script,
     octahedron_graph,
     parse_script,
     path_graph,
@@ -148,6 +150,12 @@ def test_edit_errors_name_the_step():
     for step in [("zz", 0, 1), ("dv", 0, 1), ("de", 0), ("ce", 0, 1, 2), ("dv",)]:
         with pytest.raises(InvalidScript, match=r"^step \(" + re.escape(repr(step)[1:])):
             apply_script(p4, [("de", 0, 1), step])
+    # so is a step that does not unpack or whose labels are not integers
+    for step in [(), ("dv", 1.0), ("de", 0, 1.5), ("dv", "1"), 7, None]:
+        with pytest.raises(InvalidScript, match="^step " + re.escape(repr(step)) + " is none of"):
+            apply_script(p4, [("de", 0, 1), step])
+    with pytest.raises(InvalidScript, match=r"^step DeleteVertex\(v=1\.0\) is none of"):
+        lift_script(p4, 2, [DeleteVertex(1.0)])
 
 
 def test_complement_involution_and_size():

@@ -16,6 +16,7 @@ from tokengraphs import (
     LiftedStep,
     NoSuchVertex,
     NotAnEdge,
+    TokenGraphError,
     apply_and_verify,
     apply_script,
     are_isomorphic,
@@ -315,23 +316,45 @@ def test_lift_rejects_bad_k_and_overshrinking():
         lift_script(g, 2, (DeleteVertex(0), DeleteVertex(0)))
 
 
-@pytest.mark.parametrize(
-    "op, message",
-    [
-        (DeleteVertex(7), "vertex 7 is out of range for n=4"),
-        (DeleteEdge(0, 9), r"edge \(0,9\) is out of range for n=4"),
-        (ContractEdge(-1, 2), r"edge \(-1,2\) is out of range for n=4"),
-        (ContractEdge(2, 2), r"edge \(2,2\) is a loop"),
-        (DeleteEdge(1, 1), r"edge \(1,1\) is a loop"),
-        (DeleteEdge(2, 0), r"edge \(0,2\) is not present"),
-        (ContractEdge(0, 3), r"edge \(0,3\) cannot be contracted"),
-        (("dv", 0), "unknown operation"),
-    ],
-)
-def test_lift_rejects_every_bad_step_as_an_invalid_script(op, message):
-    """On P_4 with k = 2, every step that names no usable vertex, edge or operation."""
-    with pytest.raises(InvalidScript, match=message):
-        lift_script(path_graph(4), 2, (op,))
+def _outcome(call):
+    """The error `call()` raises, as (class, message), or None if it returns."""
+    try:
+        call()
+    except TokenGraphError as e:
+        return type(e), str(e)
+    return None
+
+
+def test_lift_fails_exactly_as_apply_script_does():
+    """The lift takes every step check from the editor.
+
+    On seeded random scripts of operation records, with labels that may be
+    out of range, equal, absent as an edge or not integers, `lift_script`
+    raises if and only if `apply_script` does, with the same class and
+    message, apart from the lift's own BadK once a step leaves n <= k.
+    """
+    rng = random.Random(2028)
+    kinds = Counter()
+    for _ in range(1500):
+        n = rng.randint(3, 7)
+        g = random_graph(rng, n, 0.5)
+        k = rng.randint(1, n - 1)
+        odd = [-1, n, n + 1, 1.0, 0.5, "1"]
+        ops = []
+        for op in rng.choices((DeleteVertex, DeleteEdge, ContractEdge), k=rng.randint(1, 4)):
+            pick = [rng.choice(odd) if rng.random() < 0.1 else rng.randrange(n) for _ in "uv"]
+            ops.append(op(*pick[: len(op.__match_args__)]))
+        lifted = _outcome(lambda: lift_script(g, k, ops))
+        if lifted is not None and lifted[0] is BadK:
+            assert lifted[1].startswith("script shrinks the base to n=")
+            kinds["BadK"] += 1
+            continue
+        assert lifted == _outcome(lambda: apply_script(g, ops)), (g.edges(), n, k, ops)
+        kinds[lifted and lifted[0].__name__] += 1
+    assert min(kinds[name] for name in ("InvalidScript", "NoSuchVertex", "NotAnEdge", None)) >= 50
+    # a step that is no operation record has no line for `LiftedStep.base_op`
+    with pytest.raises(InvalidScript, match="unknown operation"):
+        lift_script(path_graph(4), 2, (("dv", 0),))
 
 
 def test_nonplanarity_certificates_are_sound():

@@ -6,13 +6,16 @@ immutability, `__match_args__` and `__post_init__`.
 """
 
 import dataclasses
+import inspect
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import tokengraphs
 from tokengraphs import (
     ContractEdge,
     DeleteEdge,
@@ -253,3 +256,31 @@ def _as_dataclass(record):
     names = type(record).__match_args__
     twin = dataclasses.make_dataclass(type(record).__name__, names, frozen=True)
     return twin(**{name: convert(value) for name, value in _fields(record).items()})
+
+
+def _public_callables():
+    """Every name in `tokengraphs.__all__` that is a class or callable, and the
+    methods and properties the package defines on each public class."""
+    for name in tokengraphs.__all__:
+        obj = getattr(tokengraphs, name)
+        if not callable(obj):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in inspect.getmembers(obj):
+                member = member.fget if isinstance(member, property) else member
+                if inspect.isfunction(member) and member.__module__.startswith("tokengraphs"):
+                    yield f"{name}.{attr}", member
+
+
+def test_every_public_annotation_resolves():
+    """`typing.get_type_hints` reads every public signature and record field,
+    so no annotation names a type its module does not bind."""
+    checked = 0
+    for name, obj in _public_callables():
+        try:
+            typing.get_type_hints(obj)
+        except Exception as e:
+            pytest.fail(f"{name}: {e!r}")
+        checked += 1
+    assert checked > 100

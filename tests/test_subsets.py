@@ -75,6 +75,26 @@ def test_unrank_bounds():
         codec.unrank_mask(10)
 
 
+def test_rank_mask_rejects_a_mask_that_is_no_k_subset():
+    """A mask of another popcount or with a bit at n or above has no rank."""
+    codec = SubsetCodec(5, 2)
+    for bad in (0b111, 0b1, 0, 1 << 7 | 1, 1 << 5 | 1, -3):
+        with pytest.raises(ValueError, match="is not a 2-subset of 0..4"):
+            codec.rank_mask(bad)
+    assert codec.rank_mask(0b11000) == codec.size - 1
+
+
+def test_unrank_reads_an_integer_rank():
+    codec = SubsetCodec(5, 2)
+    tg = build_token_graph(path_graph(5), 2)
+    for unrank in (codec.unrank, codec.unrank_mask, tg.subset_of):
+        with pytest.raises(TypeError):
+            unrank(1.5)
+        with pytest.raises(TypeError):
+            unrank("2")
+    assert codec.unrank(True) == codec.unrank(1)
+
+
 def test_codec_argument_validation():
     with pytest.raises(ValueError):
         SubsetCodec(4, 5)
