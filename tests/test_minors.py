@@ -325,6 +325,37 @@ def _outcome(call):
     return None
 
 
+@pytest.mark.parametrize(
+    "op, fault",
+    [
+        (DeleteVertex(7), "vertex 7 is out of range for n=4"),
+        (DeleteEdge(0, 9), r"edge \(0,9\) is out of range for n=4"),
+        (ContractEdge(-1, 2), r"edge \(-1,2\) is out of range for n=4"),
+        (ContractEdge(2, 2), r"edge \(2,2\) is a loop"),
+        (DeleteEdge(1, 1), r"edge \(1,1\) is a loop"),
+        (DeleteEdge(2, 0), r"edge \(0,2\) is not present"),
+        (ContractEdge(0, 3), r"edge \(0,3\) cannot be contracted"),
+        (("dv", 0), "unknown operation"),
+    ],
+)
+def test_lift_rejects_every_bad_step_as_an_invalid_script(op, fault):
+    """On P_4 with k = 2, every kind of step that names no usable vertex, edge or operation.
+
+    `fault` says what is wrong with the step. An operation record fails
+    with the editor's error, class and message, exactly as `apply_script`
+    fails on it; a step that is no operation record is an InvalidScript
+    "unknown operation" of the lift's own, though the editor would apply it.
+    """
+    g = path_graph(4)
+    lifted = _outcome(lambda: lift_script(g, 2, (op,)))
+    if isinstance(op, tuple):  # no operation record: no line for `LiftedStep.base_op`
+        assert _outcome(lambda: apply_script(g, [op])) is None
+        assert lifted == (InvalidScript, f"unknown operation {op!r}")
+    else:
+        assert lifted is not None and lifted[0] in (NoSuchVertex, NotAnEdge)
+        assert lifted == _outcome(lambda: apply_script(g, [op]))
+
+
 def test_lift_fails_exactly_as_apply_script_does():
     """The lift takes every step check from the editor.
 
@@ -352,9 +383,6 @@ def test_lift_fails_exactly_as_apply_script_does():
         assert lifted == _outcome(lambda: apply_script(g, ops)), (g.edges(), n, k, ops)
         kinds[lifted and lifted[0].__name__] += 1
     assert min(kinds[name] for name in ("InvalidScript", "NoSuchVertex", "NotAnEdge", None)) >= 50
-    # a step that is no operation record has no line for `LiftedStep.base_op`
-    with pytest.raises(InvalidScript, match="unknown operation"):
-        lift_script(path_graph(4), 2, (("dv", 0),))
 
 
 def test_nonplanarity_certificates_are_sound():
