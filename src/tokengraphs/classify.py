@@ -10,13 +10,13 @@ irregular F_k(g) has such a pair with different degrees, and the swap
 identity in `RegularityWitness` tells from g alone which pairs (u, v) admit
 one.
 
-`classify_planarity` decides planarity of F_k(g) for connected g: the path
-characterization for n > 10, and at smaller orders `token_planarity`, the
-search's own path: the token graph's edge-count bound, then the paper's
-lemmas, then a build and test. The paper characterizes those orders too,
-through its census (13 maximal graphs for k = 2 on n <= 10, and 2 for
-k = 3 on n = 6), but this module computes their verdicts; it does not read
-that characterization.
+`classify_planarity` decides planarity of F_k(g) for connected g by the
+paper's characterization, with no build. With j = min(k, n - k), F_k(g) is
+planar iff g is a subgraph of an edge-maximal graph of order n for j: for
+n <= 10, one of the census graphs held below as graph6 data; for n >= 11,
+P_n when j = 2 and none when j >= 3. The search computes the census with
+its own planarity test and never reads this data; the tests check that the
+search regenerates it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .errors import (
     NotRegularInput,
     TokenGraphError,
 )
-from .graphs import Graph, _bits, _has_planned, _iter_embeddings
+from .graph6 import decode_graph6
+from .graphs import Graph, _bits, _has_planned, _iter_embeddings, has_subgraph
 from .minors import _P3_PLAN
-from .planarity import token_planarity
-from .tokens import _check_interior_k, token_degree
+from .tokens import _check_k, token_degree
 
 
 class RegularityCase(str, Enum):
@@ -134,13 +134,12 @@ def _swap_witness(g: Graph, k: int) -> RegularityWitness | None:
 
 def classify_regularity(g: Graph, k: int) -> RegularityVerdict:
     """Regularity of F_k(g) by structure of g alone (witnessed when false)."""
-    n = g.n
-    _check_interior_k(n, k, "regularity classification")
+    _check_k(g.n, k, "regularity classification", low=2)
     if g.is_complete():
         return RegularityVerdict(True, RegularityCase.COMPLETE, k, None)
     if g.is_empty_graph():
         return RegularityVerdict(True, RegularityCase.EMPTY, k, None)
-    if 2 * k == n:
+    if 2 * k == g.n:
         if g.is_star_graph():
             return RegularityVerdict(True, RegularityCase.STAR_HALF, k, None)
         if g.complement().is_star_graph():
@@ -167,8 +166,7 @@ def uniform_substitution_degree(g: Graph, k: int):
     (c = k), or the edgeless graph (c = 0), and c has that closed form.
     Returns c as a `fractions.Fraction`.
     """
-    n = g.n
-    _check_interior_k(n, k, "substitution degree")
+    _check_k(g.n, k, "substitution degree", low=2)
     if not g.is_regular():
         raise NotRegularInput("base graph is not regular")
     if not (g.is_complete() or g.is_empty_graph()):
@@ -181,10 +179,11 @@ def uniform_substitution_degree(g: Graph, k: int):
 class TokenPlanarity(Record):
     """Planarity verdict for F_k(g) plus how it was obtained.
 
-    method is "characterization" (the large-order path criterion),
-    "structural" (g alone decided it, unbuilt: reason is "token-edge-bound"
-    or the name of one of the paper's lemmas), or "computed" (the LR test
-    on the built token graph: reason "left-right").
+    method is always "characterization": the paper's theorem decided it,
+    with no build. reason is "subgraph-of-maximal" when g lies in an
+    edge-maximal graph of its order for j = min(k, n - k), so F_k(g) is
+    planar, and "no-maximal-supergraph" when it lies in none, so F_k(g) is
+    not (see `classify_planarity` for those graphs).
     """
 
     planar: bool
@@ -193,11 +192,24 @@ class TokenPlanarity(Record):
     k: int
 
 
-def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
-    """Planarity of F_k(g) for connected g and 2 <= k <= n-2.
+# The census: every edge-maximal connected graph on n <= 10 vertices with a
+# planar F_j, by j, as `edge_maximal_search` finds it (j = 2 over n = 4..10,
+# j = 3 over n = 6..8); the j = 4 search over n = 8..10 finds none.
+_CENSUS = {
+    2: [decode_graph6(s) for s in r"C~ DZ[ DmW EDXg EE\? FGEb_ FHOT_ FMGHG G?J@a_ GD?ja? H?Ce@PO H?g_i@c I??e@POE? IGB@?SOK?".split()],
+    3: [decode_graph6(s) for s in "EHwg EMGg".split()],
+}
 
-    For n > 10, F_k(g) is planar iff g is a path and k is 2 or n-2; below
-    that, the verdict is `token_planarity`'s, with its stage as reason.
+
+def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
+    """Planarity of F_k(g) for connected g and 2 <= k <= n-2, never built.
+
+    With j = min(k, n - k) (F_k(g) ≅ F_{n-k}(g)), F_k(g) is planar iff g is
+    a subgraph of an edge-maximal graph of order n for j. For n <= 10 those
+    are the census graphs; for j >= 4 there are none (the k = 4 search finds
+    none on n = 8..10, and n >= 9 is covered below). For n >= 11 the only one
+    is P_n when j = 2, and there is none when j >= 3. Containment runs
+    `has_subgraph` only on a census graph with at least g's edges.
 
     Proof of the rule for n >= 11. Write V = C(n, k) and E for the order and
     size of a token graph. A spanning subgraph H of g gives a spanning
@@ -221,18 +233,16 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
       claw, 76 by a vertex of degree five), which the tests check.
     """
     n = g.n
-    _check_interior_k(n, k, "planarity classification")
+    _check_k(n, k, "planarity classification", low=2)
     if not g.is_connected():
         raise Disconnected("planarity classification is defined for connected graphs")
+    j = min(k, n - k)
     if n > 10:
-        path = g.is_path_graph()
-        if path and k in (2, n - 2):
-            return TokenPlanarity(True, "characterization", "path-outer-k", k)
-        reason = "inner-k" if path else "not-a-path"
-        return TokenPlanarity(False, "characterization", reason, k)
-    verdict = token_planarity(g, k)
-    method = "computed" if verdict.method == "left-right" else "structural"
-    return TokenPlanarity(verdict.planar, method, verdict.method, k)
+        planar = j == 2 and g.is_path_graph()
+    else:
+        planar = any(h.n == n and h.m >= g.m and has_subgraph(h, g) for h in _CENSUS.get(j, ()))
+    reason = "subgraph-of-maximal" if planar else "no-maximal-supergraph"
+    return TokenPlanarity(planar, "characterization", reason, k)
 
 
 def residual_degree_obstruction(g: Graph, k: int) -> bool:
@@ -250,12 +260,11 @@ def residual_degree_obstruction(g: Graph, k: int) -> bool:
     inside h keeps P. Contracting each path P_3 × {Ti} to one vertex leaves
     three vertices joined to all of P_3 × {T}: a K_{3,3} minor. So F_k(g) is non-planar.
     """
-    n = g.n
-    _check_interior_k(n, k, "the residual check")
+    _check_k(g.n, k, "the residual check", low=2)
     if not _has_planned(g, _P3_PLAN):
         raise NoP3Found("the graph has no path on three vertices")
     for mask in _iter_embeddings(g, _P3_PLAN):
-        keep = [x for x in range(n) if not (mask >> x) & 1]
+        keep = [x for x in range(g.n) if not (mask >> x) & 1]
         h = g.induced_subgraph(keep)
         for j in (k - 1, k - 2):  # 0 <= j <= n - 3 = h.n, as 2 <= k <= n - 2
             if any(

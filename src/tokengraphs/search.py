@@ -68,7 +68,7 @@ from .canon import canonical_data, canonical_graph6
 from .errors import BadK, SizeLimitExceeded, TokenGraphError
 from .graphs import Graph, _bits, empty_graph
 from .planarity import token_planarity
-from .tokens import _check_interior_k
+from .tokens import _check_k
 
 GENERATOR_MAX_N = 14
 
@@ -444,7 +444,7 @@ class SearchReport(Record):
 def verify_maximality(g: Graph, k: int) -> bool:
     """True iff F_k(g) is planar and every single-edge addition breaks that."""
     n = g.n
-    _check_interior_k(n, k, "maximality check")
+    _check_k(n, k, "maximality check", low=2)
     if not token_planarity(g, k).planar:
         return False
     for u in range(n):

@@ -23,7 +23,10 @@ class KSubset(Record):
     n: int
 
     def __post_init__(self):
-        ms = self.members
+        try:
+            ms = tuple(map(index, self.members))
+        except TypeError:
+            raise ValueError(f"members must be integers, got {self.members}") from None
         if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
             raise ValueError(f"members must be strictly increasing, got {ms}")
         if ms and (ms[0] < 0 or ms[-1] >= self.n):

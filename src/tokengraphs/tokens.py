@@ -45,6 +45,7 @@ build may hold about 1.2 GiB of rows plus about 0.2 GiB of its own.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
 from ._record import Record
 from .errors import BadK, BudgetExceeded
@@ -75,14 +76,10 @@ class TokenGraph(Record):
         return ["{" + ",".join(map(str, _bits(mask))) + "}" for mask in self.codec.masks()]
 
 
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k < n:
-        raise BadK(f"need 1 <= k < n, got k={k} for n={n}")
-
-
-def _check_interior_k(n: int, k: int, what: str) -> None:
-    if not 2 <= k <= n - 2:
-        raise BadK(f"{what} needs 2 <= k <= n-2, got k={k}, n={n}")
+def _check_k(n: int, k: int, what: str = "the token graph", low: int = 1) -> None:
+    """Raise BadK unless k is an integer (read by `operator.index`) with low <= k <= n - low."""
+    if not (hasattr(type(k), "__index__") and low <= index(k) <= n - low):
+        raise BadK(f"{what} needs {low} <= k <= n-{low}, got k={k!r}, n={n}")
 
 
 def build_token_graph(g: Graph, k: int) -> TokenGraph:
@@ -93,9 +90,9 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
     G[:i+1] is the old level j followed by level j - 1 shifted by C(i, j),
     and one dict lookup per cross edge B + u ~ B + i sets both rows in
     place, with B walked from the highest rank down. The edge count is the
-    closed form m * C(n-2, k-1). Raises BadK unless 1 <= k < n,
-    BudgetExceeded when C(n, k) would pass DEFAULT_VERTEX_BUDGET (checked
-    before anything is allocated).
+    closed form m * C(n-2, k-1). Raises BadK unless k is an integer with
+    1 <= k < n, BudgetExceeded when C(n, k) would pass DEFAULT_VERTEX_BUDGET
+    (checked before anything is allocated).
     """
     n = g.n
     _check_k(n, k)
@@ -190,11 +187,8 @@ def johnson_complement(tg: TokenGraph) -> TokenGraph:
 
 def complement_isomorphism_check(g: Graph, k: int) -> bool:
     """Verify F_k(g) equals F_{n-k}(g) under the subset-complement relabeling."""
-    n = g.n
-    _check_k(n, k)
-    _check_k(n, n - k)
-    fk = build_token_graph(g, k)
-    fnk = build_token_graph(g, n - k)
+    fk = build_token_graph(g, k)  # raises BadK unless 1 <= k < n, and then so is n - k
+    fnk = build_token_graph(g, g.n - k)
     # Complementing reverses colex order: the k-subset of rank r goes to the
     # (n-k)-subset of rank C(n, k) - 1 - r.
     size = fk.codec.size

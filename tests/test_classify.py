@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +20,12 @@ from tokengraphs import (
     classify_planarity,
     classify_regularity,
     complete_graph,
+    contains_disjoint,
     cycle_graph,
     decode_graph6,
+    edge_maximal_search,
     empty_graph,
+    encode_graph6,
     graph_classes,
     is_planar,
     partition_uv,
@@ -31,9 +36,12 @@ from tokengraphs import (
     token_planarity,
     uniform_substitution_degree,
 )
+from tokengraphs import classify, planarity
 from tokengraphs.search import _trees
 
-from util import random_graph
+from util import random_connected_graph, random_graph
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_partition_splits_the_remaining_vertices():
@@ -233,25 +241,34 @@ def test_scan_and_substitution_check_walk_the_masks(monkeypatch):
 
 
 def test_classify_planarity_structural_and_characterization():
+    """Every verdict is the characterization's: "no-maximal-supergraph" for
+    the star and C_5, whose F_2 the lemmas also reject, and the path rule at
+    n = 12 (planar only at k = 2 and k = n - 2)."""
     assert classify_planarity(star_graph(7), 2) == classify_planarity(star_graph(7), 2)
     v = classify_planarity(star_graph(7), 2)
-    assert (v.planar, v.method, v.reason) == (False, "structural", "max-degree-5")
+    assert (v.planar, v.method, v.reason) == (False, "characterization", "no-maximal-supergraph")
     v = classify_planarity(cycle_graph(5), 2)
-    assert (v.planar, v.method, v.reason) == (False, "structural", "cycle-5")
+    assert (v.planar, v.method, v.reason) == (False, "characterization", "no-maximal-supergraph")
     v = classify_planarity(path_graph(12), 2)
-    assert (v.planar, v.method, v.reason) == (True, "characterization", "path-outer-k")
+    assert (v.planar, v.method, v.reason) == (True, "characterization", "subgraph-of-maximal")
     v = classify_planarity(path_graph(12), 10)
     assert v.planar and v.method == "characterization"
     v = classify_planarity(path_graph(12), 5)
-    assert not v.planar
+    assert (v.planar, v.reason) == (False, "no-maximal-supergraph")
 
 
 def test_classify_planarity_computes_small_cases():
+    """Small orders read the census: K_4 is a maximal graph itself (F_2(K_4)
+    is the octahedron), C_4 lies in it, K_6 lies in neither k = 3 graph, and
+    each census graph of order n is planar at k = j and at k = n - j."""
     v = classify_planarity(complete_graph(4), 2)
-    assert v.planar and v.method == "computed"
+    assert (v.planar, v.method, v.reason) == (True, "characterization", "subgraph-of-maximal")
     v = classify_planarity(cycle_graph(4), 2)
-    assert v.planar and v.method == "computed"
+    assert v.planar and v.method == "characterization"
     assert not classify_planarity(complete_graph(6), 3).planar
+    for j, census in classify._CENSUS.items():
+        for h in census:
+            assert classify_planarity(h, j).planar and classify_planarity(h, h.n - j).planar
 
 
 def test_classify_planarity_agrees_with_direct_builds():
@@ -268,9 +285,69 @@ def test_classify_planarity_agrees_with_direct_builds():
         want = bool(is_planar(build_token_graph(g, k).graph))
         v = classify_planarity(g, k)
         assert v.planar == want
-        # "computed" names exactly the verdicts read off the built graph
-        assert (v.method == "computed") == (v.reason == "left-right")
-        assert v.method in ("computed", "structural")
+        reason = "subgraph-of-maximal" if want else "no-maximal-supergraph"
+        assert (v.method, v.reason) == ("characterization", reason)
+
+
+def _connected_pairs(orders):
+    """(g, k) for every connected class g of each order n and 2 <= k <= n - 2."""
+    return [
+        (g, k)
+        for n in orders
+        for m in range(n - 1, n * (n - 1) // 2 + 1)
+        for g in graph_classes(n, m)
+        if g.is_connected()
+        for k in range(2, n - 1)
+    ]
+
+
+def test_classify_planarity_never_builds(monkeypatch):
+    """With the build, the search's pipeline and the lemmas made to raise in
+    `classify` and `planarity`, the classifier still gives `token_planarity`'s
+    verdict on every connected pair with n = 4..8 (59,381 pairs, 72 planar)
+    and on the cases of acceptance criterion 12 (n = 11, 12), always as
+    "characterization"."""
+    pairs = _connected_pairs(range(4, 9))
+    rng = random.Random(1212)  # criterion 12's cases, drawn as it draws them
+    for n in (11, 12):
+        for _ in range(500):
+            g = random_connected_graph(rng, n, rng.random())
+            pairs.extend((g, k) for k in range(2, n - 1) if comb(n, k) <= 10_000)
+    assert len(pairs) == 59_381 + 8_500
+    want = [token_planarity(g, k).planar for g, k in pairs]
+    assert sum(want) == 72
+
+    def refuse(*args):
+        raise AssertionError("the classifier must not build or run the search's pipeline")
+
+    for module in (classify, planarity):
+        for name in ("build_token_graph", "token_planarity", "nonplanarity_by_minor"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    verdicts = [classify_planarity(g, k) for g, k in pairs]
+    assert [v.planar for v in verdicts] == want
+    assert {v.method for v in verdicts} == {"characterization"}
+
+
+def test_census_data_is_the_search_result_and_the_search_never_reads_it(monkeypatch):
+    """The census in `classify` is what the k = 2 and k = 3 searches find (the
+    golden files, plus K_4 = "C~" at n = 4), the k = 4 search finds none, and
+    every report is the same with the census emptied."""
+    searches = {2: range(4, 11), 3: range(6, 9), 4: range(8, 11)}
+
+    def reports():
+        return {
+            k: {**edge_maximal_search(k, ns).to_json(), "elapsed_secs": None}
+            for k, ns in searches.items()
+        }
+
+    before = reports()
+    census = {j: [encode_graph6(h) for h in hs] for j, hs in classify._CENSUS.items()}
+    assert census == {k: r["maximal"] for k, r in before.items() if r["maximal"]}
+    golden = {j: (GOLDEN / f"maximal_k{j}.g6").read_text().split() for j in (2, 3)}
+    assert census == {2: sorted(golden[2] + ["C~"]), 3: sorted(golden[3])}
+    monkeypatch.setattr(classify, "_CENSUS", {})
+    assert not classify_planarity(complete_graph(4), 2).planar  # the census is gone
+    assert reports() == before
 
 
 def test_classify_planarity_input_contract():
@@ -302,6 +379,24 @@ def test_residual_degree_obstruction_is_sound():
                         fired += 1
                         assert not is_planar(build_token_graph(g, k).graph), (g.edges(), k)
     assert fired == 3286
+
+
+def test_residual_certificate_at_k2_is_a_claw_beside_a_path():
+    """At k = 2 the residual check deletes a P_3 and looks at F_1(h) ≅ h and
+    F_0(h), one vertex: it fires iff a K_{1,3} lies beside a P_3, which is
+    the lemma "disjoint-p3-k13". Checked on every class with n = 4..7 that
+    has a P_3 (it fires on 808 of the 1,231)."""
+    checked = fired = 0
+    for n in range(4, 8):
+        for m in range(n * (n - 1) // 2 + 1):
+            for g in graph_classes(n, m):
+                if g.max_degree() < 2:
+                    continue  # no P_3
+                residual = residual_degree_obstruction(g, 2)
+                assert residual == contains_disjoint(g, star_graph(4), path_graph(3))
+                checked += 1
+                fired += residual
+    assert (checked, fired) == (1231, 808)
 
 
 def test_residual_certificate_graph_is_non_planar():

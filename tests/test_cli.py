@@ -120,7 +120,9 @@ def test_classify_regularity_json(capsys):
 def test_classify_planarity_json(capsys):
     code, out, _ = run(capsys, "classify", "planarity", "-k", "2", "--graph6", "DUW")
     assert code == 0
-    assert out == '{"planar": false, "method": "structural", "reason": "cycle-5", "k": 2}\n'
+    assert out == (
+        '{"planar": false, "method": "characterization", "reason": "no-maximal-supergraph", "k": 2}\n'
+    )
 
 
 def test_lift_json(tmp_path, capsys):

@@ -52,10 +52,17 @@ def test_rank_accepts_unsorted_iterables():
 
 
 def test_rank_rejects_repeated_and_out_of_range_members():
+    """Also members that are no integers, read by `operator.index`, as the
+    subset record, the codec and a token graph's vertex lookup see them."""
     codec = SubsetCodec(5, 2)
-    for bad in ([1, 1], [-1, 2], [0, 7]):
+    tg = build_token_graph(path_graph(5), 2)
+    for bad in ([1, 1], [-1, 2], [0, 7], [0.0, 1.0], [0.5, 1]):
         with pytest.raises(ValueError):
             codec.rank(bad)
+        with pytest.raises(ValueError):
+            tg.vertex_of(bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        KSubset((0.5, 1), 5)
 
 
 def test_rank_rejects_a_subset_of_the_wrong_size():

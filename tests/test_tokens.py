@@ -11,15 +11,22 @@ from tokengraphs import (
     KSubset,
     SubsetCodec,
     build_token_graph,
+    classify_planarity,
+    classify_regularity,
     complement_isomorphism_check,
     complete_graph,
     cycle_graph,
     empty_graph,
     johnson,
     johnson_complement,
+    lift_script,
     path_graph,
+    residual_degree_obstruction,
     star_graph,
     token_degree,
+    token_planarity,
+    uniform_substitution_degree,
+    verify_maximality,
 )
 
 from util import brute_token_edges, random_graph, swap_token_edges
@@ -105,6 +112,30 @@ def test_k_bounds():
         build_token_graph(g, 5)
     with pytest.raises(BadK):
         johnson(4, 0)
+    assert build_token_graph(g, True).graph == build_token_graph(g, 1).graph  # a bool is an int
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        build_token_graph,
+        complement_isomorphism_check,
+        token_planarity,
+        classify_regularity,
+        classify_planarity,
+        residual_degree_obstruction,
+        uniform_substitution_degree,
+        verify_maximality,
+        pytest.param(lambda g, k: lift_script(g, k, []), id="lift_script"),
+    ],
+)
+def test_a_non_integer_k_raises_bad_k(entry):
+    """Every entry point that takes k reads it with `operator.index`: 2.0
+    used to get through (an empty lift, a substitution degree) or fail with
+    a bare TypeError from `comb` or a slice."""
+    for k in (2.0, 2.5, "2", None):
+        with pytest.raises(BadK):
+            entry(complete_graph(5), k)
 
 
 def test_vertex_budget():
@@ -174,11 +205,12 @@ def test_token_degree_is_the_cut_size():
 
 
 @pytest.mark.parametrize(
-    "members", [[0, 0], [7], [-1], [1, 5], KSubset((7,), 10), KSubset((2,), 4)]
+    "members",
+    [[0, 0], [7], [-1], [1, 5], KSubset((7,), 10), KSubset((2,), 4), [0.0, 1.0], [0.5, 1]],
 )
 def test_token_degree_rejects_invalid_subsets(members):
-    """Repeated or out-of-range members, or a KSubset over another ground set,
-    are not a subset of 0..n-1."""
+    """Repeated, out-of-range or non-integer members, or a KSubset over
+    another ground set, are not a subset of 0..n-1."""
     with pytest.raises(ValueError):
         token_degree(cycle_graph(5), members)
 
