@@ -33,9 +33,9 @@ from .errors import (
     TokenGraphError,
 )
 from .graph6 import decode_graph6
-from .graphs import Graph, _bits, _has_planned, _iter_embeddings, has_subgraph
+from .graphs import Graph, _bits, _check_k, _has_planned, _iter_embeddings, has_subgraph
 from .minors import _P3_PLAN
-from .tokens import _check_k, token_degree
+from .tokens import token_degree
 
 
 class RegularityCase(str, Enum):
@@ -90,13 +90,10 @@ class NeighborhoodPartition(Record):
 
 
 def partition_uv(g: Graph, u: int, v: int) -> NeighborhoodPartition:
-    g._check_vertex(u)
-    g._check_vertex(v)
+    nu, nv = g.adjacency_mask(u), g.adjacency_mask(v)  # each reads its vertex
     if u == v:
         raise NotAnEdge(f"need two distinct vertices, got {u} twice")
     rest = ((1 << g.n) - 1) & ~((1 << u) | (1 << v))
-    nu = g.adjacency_mask(u)
-    nv = g.adjacency_mask(v)
     return NeighborhoodPartition(
         u=u,
         v=v,
@@ -134,7 +131,7 @@ def _swap_witness(g: Graph, k: int) -> RegularityWitness | None:
 
 def classify_regularity(g: Graph, k: int) -> RegularityVerdict:
     """Regularity of F_k(g) by structure of g alone (witnessed when false)."""
-    _check_k(g.n, k, "regularity classification", low=2)
+    k = _check_k(k, 2, g.n - 2, "regularity classification")
     if g.is_complete():
         return RegularityVerdict(True, RegularityCase.COMPLETE, k, None)
     if g.is_empty_graph():
@@ -166,7 +163,7 @@ def uniform_substitution_degree(g: Graph, k: int):
     (c = k), or the edgeless graph (c = 0), and c has that closed form.
     Returns c as a `fractions.Fraction`.
     """
-    _check_k(g.n, k, "substitution degree", low=2)
+    k = _check_k(k, 2, g.n - 2, "substitution degree")
     if not g.is_regular():
         raise NotRegularInput("base graph is not regular")
     if not (g.is_complete() or g.is_empty_graph()):
@@ -233,7 +230,7 @@ def classify_planarity(g: Graph, k: int) -> TokenPlanarity:
       claw, 76 by a vertex of degree five), which the tests check.
     """
     n = g.n
-    _check_k(n, k, "planarity classification", low=2)
+    k = _check_k(k, 2, n - 2, "planarity classification")
     if not g.is_connected():
         raise Disconnected("planarity classification is defined for connected graphs")
     j = min(k, n - k)
@@ -260,7 +257,7 @@ def residual_degree_obstruction(g: Graph, k: int) -> bool:
     inside h keeps P. Contracting each path P_3 × {Ti} to one vertex leaves
     three vertices joined to all of P_3 × {T}: a K_{3,3} minor. So F_k(g) is non-planar.
     """
-    _check_k(g.n, k, "the residual check", low=2)
+    k = _check_k(k, 2, g.n - 2, "the residual check")
     if not _has_planned(g, _P3_PLAN):
         raise NoP3Found("the graph has no path on three vertices")
     for mask in _iter_embeddings(g, _P3_PLAN):

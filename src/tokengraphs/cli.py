@@ -26,9 +26,10 @@ from .tokens import TokenGraph, build_token_graph
 
 
 def _read_graphs(args) -> list[Graph]:
-    if getattr(args, "graph6", None):
+    # an empty --graph6 or --file is given, not absent: it must not read stdin
+    if getattr(args, "graph6", None) is not None:
         return [decode_graph6(args.graph6)]
-    if getattr(args, "file", None):
+    if getattr(args, "file", None) is not None:
         with open(args.file, "r", encoding="ascii") as fh:
             text = fh.read()
     else:
@@ -155,7 +156,7 @@ def _cmd_search(args) -> int:
         prune=not args.verbatim,
     )
     payload = json.dumps(report.to_json(), indent=2)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(payload + "\n")
     else:

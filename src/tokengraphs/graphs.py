@@ -17,9 +17,10 @@ script of thousands of steps on a token graph rewrites its rows once.
 
 from __future__ import annotations
 
+from math import inf
 from operator import index
 
-from .errors import InvalidScript, NoSuchVertex, NotAnEdge, UnsupportedPattern
+from .errors import BadK, InvalidScript, NoSuchVertex, NotAnEdge, UnsupportedPattern
 
 
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -45,19 +46,68 @@ def _mask(vertices) -> int:
     return mask
 
 
+# ---------------------------------------------------------------------------
+# argument readers: one per kind of integer argument, each raising its kind's
+# error (see `errors`) for a value that is no integer and for one out of
+# range alike
+
+
+def _int(x) -> int | None:
+    """x read by `operator.index`, or None when it is no integer (2.0, "2", None)."""
+    try:
+        return index(x)
+    except TypeError:
+        return None
+
+
+def _check_k(k, low=-inf, high=inf, what: str = "the token graph") -> int:
+    """k as an int: BadK unless it is an integer in low..high."""
+    i = _int(k)
+    if i is None or not low <= i <= high:
+        raise BadK(f"{what} needs an integer k in {low}..{high}, got k={k!r}")
+    return i
+
+
+def _check_vertex(n: int, v) -> int:
+    """v as an int: NoSuchVertex unless it is an integer in 0..n-1."""
+    i = _int(v)
+    if i is None:
+        raise NoSuchVertex(f"vertices must be integers, got {v!r}")
+    if not 0 <= i < n:
+        raise NoSuchVertex(f"vertex {v!r} outside 0..{n - 1}")
+    return i
+
+
+def _check_mask(n: int, mask, size=None) -> int:
+    """A vertex set given as a bitmask, as an int: ValueError unless it is an
+    integer whose set bits lie in 0..n-1 (and number `size`, when given)."""
+    i = _int(mask)
+    if i is None or i < 0 or i >> n or size not in (None, i.bit_count()):
+        what = "subset" if size is None else f"{size}-subset"
+        raise ValueError(f"mask {mask!r} is not a {what} of 0..{n - 1}")
+    return i
+
+
+def _check_order(x, need="vertex count must be non-negative", low=0, error=ValueError) -> int:
+    """An order, size or length as an int: error(need) unless it is an integer >= low."""
+    i = _int(x)
+    if i is None:
+        raise error(f"{need}, got {x!r}, which is not an integer")
+    if i < low:
+        raise error(f"{need}, got {x!r}")
+    return i
+
+
 class Graph:
     """Immutable simple undirected graph."""
 
     __slots__ = ("n", "m", "_adj")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        n = _check_order(n)
         adj = [0] * n
         for u, v in edges:
-            u, v = normalize_edge(u, v)
-            if u < 0 or v >= n:
-                raise NoSuchVertex(f"edge ({u},{v}) outside 0..{n - 1}")
+            u, v = normalize_edge(_check_vertex(n, u), _check_vertex(n, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
@@ -76,21 +126,14 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise NoSuchVertex(f"vertex {v} outside 0..{self.n - 1}")
-
     def adjacency_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v]
+        return self._adj[_check_vertex(self.n, v)]
 
     def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(_bits(self._adj[v]))
+        return list(_bits(self._adj[_check_vertex(self.n, v)]))
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._adj[v].bit_count()
+        return self._adj[_check_vertex(self.n, v)].bit_count()
 
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self._adj]
@@ -105,9 +148,7 @@ class Graph:
         return min(self.degrees(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = normalize_edge(u, v)
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = normalize_edge(_check_vertex(self.n, u), _check_vertex(self.n, v))
         return bool(self._adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -137,9 +178,7 @@ class Graph:
 
     def with_edge(self, u: int, v: int) -> "Graph":
         """Add the edge (u, v); it must not be present yet."""
-        u, v = normalize_edge(u, v)
-        self._check_vertex(u)
-        self._check_vertex(v)
+        u, v = normalize_edge(_check_vertex(self.n, u), _check_vertex(self.n, v))
         if self._adj[u] >> v & 1:
             raise NotAnEdge(f"edge ({u},{v}) already present")
         adj = list(self._adj)
@@ -164,17 +203,14 @@ class Graph:
 
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph induced on `vertices`, relabeled in ascending order."""
-        keep = set(vertices)
-        for v in sorted(keep):
-            self._check_vertex(v)
+        keep = {_check_vertex(self.n, v) for v in vertices}
         return _edit(self, [("dv", v) for v in reversed(range(self.n)) if v not in keep])
 
     # -- connectivity ---------------------------------------------------
 
     def component_mask(self, v: int) -> int:
         """Bitmask of the connected component containing v."""
-        self._check_vertex(v)
-        seen = 1 << v
+        seen = 1 << _check_vertex(self.n, v)
         frontier = seen
         while frontier:
             nxt = 0
@@ -273,10 +309,8 @@ def _edit(g: Graph, ops) -> Graph:
             raise InvalidScript(f"step {step!r} is none of dv v, de u v, ce u v")
         if code != "dv":
             ends = normalize_edge(*ends)
-        n = len(label)
         for v in ends:
-            if not 0 <= v < n:
-                raise NoSuchVertex(f"vertex {v} outside 0..{n - 1}")
+            _check_vertex(len(label), v)
         if code == "dv":
             y = label.pop(ends[0])
             m -= adj[y].bit_count()
@@ -343,27 +377,27 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n).complement()
 
 
 def path_graph(n: int) -> Graph:
+    n = _check_order(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    n = _check_order(n, "cycle needs at least 3 vertices", 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """K_{1,n-1}: hub 0 joined to all of 1..n-1."""
-    if n < 1:
-        raise ValueError("star needs at least 1 vertex")
+    n = _check_order(n, "star needs at least 1 vertex", 1)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
+    a, b = (_check_order(x, "part sizes must be non-negative") for x in (a, b))
     return Graph(a + b, [(u, a + w) for u in range(a) for w in range(b)])
 
 
@@ -395,6 +429,7 @@ def has_cycle_of_length_at_least(g: Graph, length: int) -> bool:
     walk of simple paths from each core vertex s, inside the core vertices
     >= s, finds each cycle once, from its minimum vertex.
     """
+    length = _check_order(length, "a cycle length counts vertices", -inf)
     adj = g._adj
     deg = [a.bit_count() for a in adj]
     todo = [v for v, d in enumerate(deg) if d < 2]
@@ -493,9 +528,10 @@ def _iter_embeddings(g: Graph, plan: tuple[list[list[int]], list[int]], banned: 
 
 
 def has_subgraph(g: Graph, pattern: Graph, banned: int = 0) -> bool:
-    """True iff `g` contains `pattern` as a (not necessarily induced) subgraph."""
+    """True iff `g` contains `pattern` as a (not necessarily induced) subgraph
+    on vertices outside the bitmask `banned`."""
     _check_pattern(pattern)
-    return _has_planned(g, _pattern_order(pattern), banned)
+    return _has_planned(g, _pattern_order(pattern), _check_mask(g.n, banned))
 
 
 def _has_planned(g: Graph, plan, banned: int = 0) -> bool:

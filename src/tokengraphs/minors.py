@@ -27,6 +27,7 @@ from ._record import Record
 from .errors import BadK, InvalidScript
 from .graphs import (
     Graph,
+    _check_k,
     _contains_disjoint_planned,
     _edit,
     _has_planned,
@@ -37,7 +38,7 @@ from .graphs import (
     star_graph,
 )
 from .subsets import SubsetCodec
-from .tokens import _check_k, build_token_graph
+from .tokens import build_token_graph
 
 
 class _Op(Record):
@@ -148,7 +149,7 @@ def lift_script(g: Graph, k: int, ops) -> LiftedScript:
     that is not an operation record, and BadK unless 1 <= k < n holds for g
     and again after each step.
     """
-    _check_k(g.n, k)
+    k = _check_k(k, 1, g.n - 1)
     bg = g
     steps = []
     for op in ops:
@@ -213,9 +214,11 @@ def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
     Every certificate is sound for 2 <= k <= n-2: it pins a small subgraph
     whose token graph is non-planar and survives as a subgraph of the whole
     token graph when the remaining tokens are frozen on outside vertices.
-    Returns None when no certificate applies (which decides nothing).
+    Returns None when no certificate applies (which decides nothing), and
+    so for every integer k outside 2..n-2.
     """
     n = g.n
+    k = _check_k(k, what="nonplanarity_by_minor")
     if not 2 <= k <= n - 2:
         return None
     if g.max_degree() >= 5:

@@ -36,9 +36,9 @@ from math import comb
 
 from ._record import Record
 from .errors import SizeLimitExceeded
-from .graphs import Graph, _bits, _edit, _mask
+from .graphs import Graph, _bits, _check_k, _edit, _mask
 from .minors import nonplanarity_by_minor
-from .tokens import _check_k, build_token_graph
+from .tokens import build_token_graph
 
 ORACLE_MAX_N = 10
 
@@ -309,7 +309,7 @@ def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
     the one above, and its bipartite bound is too, as F_k(g) is bipartite
     only when g is. Raises BadK unless 1 <= k < n.
     """
-    _check_k(g.n, k)
+    k = _check_k(k, 1, g.n - 1)
     if _past_euler(comb(g.n, k), g.m * comb(g.n - 2, k - 1), g):
         return PlanarityVerdict(False, "token-edge-bound")
     lemma = nonplanarity_by_minor(g, k)

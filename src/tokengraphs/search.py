@@ -59,16 +59,14 @@ stops at m = n, while k >= 3 stops at the trees.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from itertools import count
 
 from ._record import Record
 from .canon import canonical_data, canonical_graph6
 from .errors import BadK, SizeLimitExceeded, TokenGraphError
-from .graphs import Graph, _bits, empty_graph
+from .graphs import Graph, _bits, _check_k, _check_order, empty_graph
 from .planarity import token_planarity
-from .tokens import _check_k
 
 GENERATOR_MAX_N = 14
 
@@ -359,6 +357,9 @@ of the 34,040 classes of n = 9, m = 18. `GENERATOR_MAX_N` caps n.
 """
 
 
+_LEVEL_ARGS = "a level of graph classes has an integer order and size"
+
+
 def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of (n, m)-graphs.
 
@@ -366,8 +367,9 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     of n = 9 (274,668 classes in all) takes about 24 s of CPU and peaks at
     76 MB RSS together (2-vCPU Xeon, Python 3.11.7), while n = 10 has
     12,005,168 classes; the cap is `GENERATOR_MAX_N`, and the package only
-    ever needs small m (or small co-m) there.
+    ever needs small m (or small co-m) there. A negative n or m has no class.
     """
+    n, m = (_check_order(x, _LEVEL_ARGS, -math.inf) for x in (n, m))
     if n < 0 or m < 0:
         return ()
     if n > GENERATOR_MAX_N:
@@ -400,13 +402,11 @@ def _sparse_classes(n: int, m: int) -> tuple[_Rep, ...]:
 
 
 def connected_graphs(n: int, m: int):
-    """Stream one representative per isomorphism class of connected (n, m)-graphs."""
+    """An iterator over one representative per isomorphism class of connected (n, m)-graphs."""
+    n, m = (_check_order(x, _LEVEL_ARGS, -math.inf) for x in (n, m))
     if m == n - 1 and 0 < n <= GENERATOR_MAX_N:
-        yield from _trees(n)
-        return
-    for g in graph_classes(n, m):
-        if g.is_connected():
-            yield g
+        return iter(_trees(n))
+    return (g for g in graph_classes(n, m) if g.is_connected())
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ class SearchReport(Record):
 def verify_maximality(g: Graph, k: int) -> bool:
     """True iff F_k(g) is planar and every single-edge addition breaks that."""
     n = g.n
-    _check_k(n, k, "maximality check", low=2)
+    k = _check_k(k, 2, n - 2, "maximality check")
     if not token_planarity(g, k).planar:
         return False
     for u in range(n):
@@ -467,38 +467,38 @@ def edge_maximal_search(
 
     Follows the ascending (n, m) protocol; see the module docstring for the
     pruned/verbatim distinction. The search runs in the calling process. A
-    wall-clock `budget_secs` turns the report partial rather than raising; a
-    negative, NaN or infinite one raises `TokenGraphError`, and an empty
-    `n_range`, or one with a non-integer order, raises `BadK`. An order
-    past `GENERATOR_MAX_N` raises `SizeLimitExceeded` unless the search is
-    pruned and the range holds the order below it, whose tree survivors it
-    then extends.
+    wall-clock `budget_secs` (a real number) turns the report partial
+    rather than raising; a non-number, or a negative, NaN or infinite one,
+    raises `TokenGraphError`. k and the orders must be integers with
+    n >= 2k >= 4, else `BadK`. An order past `GENERATOR_MAX_N` raises
+    `SizeLimitExceeded` unless the search is pruned and the range holds the
+    order below it, whose tree survivors it then extends.
     """
-    if k < 2:
-        raise BadK(f"the search is defined for k >= 2, got k={k}")
-    try:
-        ns = sorted(set(map(operator.index, n_range)))
-    except TypeError as exc:
-        raise BadK(f"the search orders must be integers: {exc}") from None
+    k = _check_k(k, 2, what="the search")
+    ns = sorted({_check_order(n, "search orders must be integers", -math.inf, BadK) for n in n_range})
     if not ns:
         raise BadK("the order range is empty; there is no order to search")
+    if ns[0] < 2 * k:
+        raise BadK(
+            f"n={ns[0]} is below 2k={2 * k}; orders under 2k are answered by "
+            "the complement symmetry, not searched"
+        )
     for n in ns:
-        if n < 2 * k:
-            raise BadK(
-                f"n={n} is below 2k={2 * k}; orders under 2k are answered by "
-                "the complement symmetry, not searched"
-            )
         if n > GENERATOR_MAX_N and not (prune and n - 1 in ns):
             raise SizeLimitExceeded(
                 f"the trees are generated only for n <= {GENERATOR_MAX_N}; a larger "
                 "order is searched in pruned mode, in one range with the order below it"
             )
-    if budget_secs is not None and not (math.isfinite(budget_secs) and budget_secs >= 0):
+    try:
+        ok = budget_secs is None or (math.isfinite(budget_secs) and budget_secs >= 0)
+    except TypeError:  # not a number at all, such as "1"
+        ok = False
+    if not ok:
         raise TokenGraphError(
-            f"the search budget must be a finite number of seconds >= 0, got {budget_secs}"
+            f"the search budget must be a finite number of seconds >= 0, got {budget_secs!r}"
         )
     start = time.monotonic()
-    deadline = math.inf if budget_secs is None else start + budget_secs
+    deadline = math.inf if budget_secs is None else start + float(budget_secs)
     entries: list[SearchEntry] = []
     maximal: list[str] = []
     stopped_at: dict[int, int] = {}

@@ -13,7 +13,7 @@ from operator import index
 
 from ._record import Record
 from .errors import IndexOutOfRange
-from .graphs import _bits, _mask
+from .graphs import _bits, _check_k, _check_mask, _check_order, _check_vertex, _mask
 
 
 class KSubset(Record):
@@ -23,14 +23,10 @@ class KSubset(Record):
     n: int
 
     def __post_init__(self):
-        try:
-            ms = tuple(map(index, self.members))
-        except TypeError:
-            raise ValueError(f"members must be integers, got {self.members}") from None
+        n = _check_order(self.n)
+        ms = [_check_vertex(n, v) for v in self.members]
         if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
-            raise ValueError(f"members must be strictly increasing, got {ms}")
-        if ms and (ms[0] < 0 or ms[-1] >= self.n):
-            raise ValueError(f"members {ms} outside 0..{self.n - 1}")
+            raise ValueError(f"members must be strictly increasing, got {self.members}")
 
     @property
     def k(self) -> int:
@@ -57,10 +53,8 @@ class SubsetCodec:
     __slots__ = ("n", "k", "size")
 
     def __init__(self, n: int, k: int):
-        if n < 0 or not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-        self.n = n
-        self.k = k
+        self.n = n = _check_order(n)
+        self.k = k = _check_k(k, 0, n, "a subset codec")
         self.size = comb(n, k)
 
     def __eq__(self, other):
@@ -89,17 +83,16 @@ class SubsetCodec:
 
     def rank(self, s) -> int:
         """Colex rank of a KSubset or iterable of k distinct members of 0..n-1."""
-        members = s.members if isinstance(s, KSubset) else tuple(sorted(s))
-        if len(members) != self.k:
-            raise ValueError(f"expected a {self.k}-subset, got {members}")
-        KSubset(members, self.n)  # raises on repeated or out-of-range members
-        return self.rank_mask(_mask(members))
+        if not isinstance(s, KSubset):
+            s = KSubset(tuple(sorted(_check_vertex(self.n, v) for v in s)), self.n)
+        if s.k != self.k:
+            raise ValueError(f"expected a {self.k}-subset, got {s.members}")
+        return self.rank_mask(s.mask)  # rejects a member >= n, as of a KSubset over a larger n
 
     def rank_mask(self, mask: int) -> int:
         """Colex rank of a subset given as a bitmask: k set bits, each below n."""
-        if mask.bit_count() != self.k or mask >> self.n:
-            raise ValueError(f"mask {mask:#b} is not a {self.k}-subset of 0..{self.n - 1}")
-        return sum(comb(v, i) for i, v in enumerate(_bits(mask), 1))
+        bits = _check_mask(self.n, mask, self.k)
+        return sum(comb(v, i) for i, v in enumerate(_bits(bits), 1))
 
     def unrank(self, r: int) -> KSubset:
         """The subset of colex rank r, as a KSubset (see `unrank_mask`)."""

@@ -45,11 +45,10 @@ build may hold about 1.2 GiB of rows plus about 0.2 GiB of its own.
 from __future__ import annotations
 
 from math import comb
-from operator import index
 
 from ._record import Record
-from .errors import BadK, BudgetExceeded
-from .graphs import Graph, _bits, _relabeled, complete_graph
+from .errors import BudgetExceeded
+from .graphs import Graph, _bits, _check_k, _check_vertex, _relabeled, complete_graph
 from .subsets import KSubset, SubsetCodec
 
 DEFAULT_VERTEX_BUDGET = 10**5
@@ -76,12 +75,6 @@ class TokenGraph(Record):
         return ["{" + ",".join(map(str, _bits(mask))) + "}" for mask in self.codec.masks()]
 
 
-def _check_k(n: int, k: int, what: str = "the token graph", low: int = 1) -> None:
-    """Raise BadK unless k is an integer (read by `operator.index`) with low <= k <= n - low."""
-    if not (hasattr(type(k), "__index__") and low <= index(k) <= n - low):
-        raise BadK(f"{what} needs {low} <= k <= n-{low}, got k={k!r}, n={n}")
-
-
 def build_token_graph(g: Graph, k: int) -> TokenGraph:
     """Build the k-token graph of g.
 
@@ -95,7 +88,7 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
     (checked before anything is allocated).
     """
     n = g.n
-    _check_k(n, k)
+    k = _check_k(k, 1, n - 1)
     codec = SubsetCodec(n, k)
     size = codec.size
     if size > DEFAULT_VERTEX_BUDGET:
@@ -159,7 +152,7 @@ def token_degree(g: Graph, subset) -> int:
     `SubsetCodec.rank` does.
     """
     if not isinstance(subset, KSubset):
-        subset = KSubset(tuple(sorted(subset)), g.n)
+        subset = KSubset(tuple(sorted(_check_vertex(g.n, v) for v in subset)), g.n)
     elif subset.n != g.n:
         raise ValueError(f"subset over 0..{subset.n - 1} for a graph on {g.n} vertices")
     amask = subset.mask

@@ -215,6 +215,25 @@ def test_empty_stdin_is_a_usage_error(monkeypatch, capsys):
     assert code == 2 and "no input graphs" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("canon", "--graph6", ""), "empty input (byte 0)"),
+        (("canon", "--file", ""), "No such file"),
+        (("search", "-k", "2", "--n-max", "4", "--out", ""), "No such file"),
+    ],
+    ids=["graph6", "file", "out"],
+)
+def test_an_empty_flag_value_is_not_an_absent_flag(argv, message, monkeypatch, capsys):
+    """An empty --graph6 or --file names no input, so stdin stays unread, and
+    an empty --out names no file, so the report does not go to stdout."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
 def test_non_ascii_input_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_bytes(b"D\xffW\n")

@@ -408,6 +408,8 @@ def test_search_rejects_bad_ranges():
         edge_maximal_search(2, range(4, 4))  # no order to search
     with pytest.raises(BadK, match="must be integers"):
         edge_maximal_search(2, [5.7])  # not read as n = 5
+    with pytest.raises(BadK, match="is below 2k"):
+        edge_maximal_search(2, [-1])  # an integer, so the order check answers
 
 
 def test_search_report_round_trips_as_json():

@@ -16,10 +16,12 @@ from tokengraphs import (
     complement_isomorphism_check,
     complete_graph,
     cycle_graph,
+    edge_maximal_search,
     empty_graph,
     johnson,
     johnson_complement,
     lift_script,
+    nonplanarity_by_minor,
     path_graph,
     residual_degree_obstruction,
     star_graph,
@@ -127,6 +129,8 @@ def test_k_bounds():
         uniform_substitution_degree,
         verify_maximality,
         pytest.param(lambda g, k: lift_script(g, k, []), id="lift_script"),
+        nonplanarity_by_minor,
+        pytest.param(lambda g, k: edge_maximal_search(k, [g.n]), id="edge_maximal_search"),
     ],
 )
 def test_a_non_integer_k_raises_bad_k(entry):
