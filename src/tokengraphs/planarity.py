@@ -8,13 +8,16 @@ iterative because token graphs routinely reach several hundred vertices. The
 bipartite bound matters for token graphs: F_k(g) is bipartite iff g is
 (Fabila-Monroy et al., Graphs Combin. 28, 2012).
 
-The left-right test keeps only the state of Brandes' algorithm. The
-orientation DFS records each vertex's height, parent edge and outgoing edges,
-and each oriented edge's two lowpoints; it reads the adjacency rows directly,
-and a visited neighbour is a back edge iff it sits more than one level up.
-The outgoing edges are then sorted in place by nesting depth. The testing DFS
-keeps the conflict stack of interval pairs, each edge's lowpoint edge and
-`ref` link; the stack height at which an edge began rides in its DFS frame.
+The left-right test keeps only the state of Brandes' algorithm, in flat
+lists indexed by vertex or by edge id, with no object per edge or per
+interval. The orientation DFS numbers the edges as it orients them and
+records each vertex's height, parent edge and outgoing edges, and each
+edge's ends and two lowpoints; it reads the adjacency rows directly, and a
+visited neighbour is a back edge iff it sits more than one level up. The
+outgoing edges are then sorted in place by nesting depth. The testing DFS
+keeps the conflict stack, whose pairs are 4-item lists of edge ids, and
+each edge's lowpoint edge and `ref` link; the stack height at which an edge
+began rides in its DFS frame. Each DFS does its per-edge steps inline.
 
 `token_planarity` is the one path from "is F_k(g) planar?" to a verdict: the
 token graph's closed-form edge count, then the paper's lemmas
@@ -60,43 +63,29 @@ class PlanarityVerdict(Record):
         return self.planar
 
 
-class _Interval:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low is None and self.high is None
-
-
-class _Pair:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left=None, right=None):
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-
 class _LeftRight:
-    """Left-right planarity test on one graph (any number of components)."""
+    """Left-right planarity test on one graph (any number of components).
+
+    Edges get ids 0..m-1 in the order the orientation DFS orients them,
+    each edge once, and every per-edge datum is a flat list indexed by id:
+    `src`, `dst`, `lowpt` and `lowpt2`, appended as the edges are oriented,
+    then `ref` and `lowpt_edge` for the testing DFS. A conflict pair is a
+    list [left low, left high, right low, right high] of edge ids, with None
+    where an interval has no end.
+    """
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.rows = g._adj
         self.height: list = [None] * g.n
         self.parent_edge: list = [None] * g.n
-        self.lowpt: dict = {}
-        self.lowpt2: dict = {}
         self.out: list[list[int]] = [[] for _ in range(g.n)]
-        # testing state
-        self.S: list[_Pair] = []
-        self.lowpt_edge: dict = {}
-        self.ref: dict = {}
+        self.src: list[int] = []
+        self.dst: list[int] = []
+        self.lowpt: list[int] = []
+        self.lowpt2: list[int] = []
+        self.ref: list = [None] * g.m
+        self.lowpt_edge: list = [None] * g.m
 
     def run(self) -> bool:
         roots = []
@@ -106,172 +95,180 @@ class _LeftRight:
                 roots.append(v)
                 self._orient(v)
         # nesting depth: 2 * lowpt, plus one if the edge is chordal
-        lowpt, lowpt2 = self.lowpt, self.lowpt2
-        for v, ws in enumerate(self.out):
-            h = self.height[v]
-            ws.sort(key=lambda w: 2 * lowpt[v, w] + (lowpt2[v, w] < h))
+        height = self.height
+        depth = [
+            2 * low + (low2 < height[v])
+            for low, low2, v in zip(self.lowpt, self.lowpt2, self.src)
+        ]
+        for es in self.out:
+            es.sort(key=depth.__getitem__)
         return all(self._test(root) for root in roots)
 
     # -- pass 1: orientation and lowpoints -------------------------------
 
     def _orient(self, root: int) -> None:
-        height, parent_edge = self.height, self.parent_edge
+        height, parent_edge, rows, out = self.height, self.parent_edge, self.rows, self.out
+        src, dst, lowpt, lowpt2 = self.src, self.dst, self.lowpt, self.lowpt2
         # a frame keeps its neighbours as a list: a `_bits` generator would keep
         # two ints as wide as the row, so a DFS as deep as V would hold O(V^2) bits
-        stack = [(root, iter(list(_bits(self.rows[root]))))]
+        stack = [(root, iter(list(_bits(rows[root]))))]
         while stack:
             v, it = stack[-1]
+            hv = height[v]
             for w in it:
                 # no cross edges in an undirected DFS: a visited w at height
                 # h(v) - 1 or above is v's parent or a descendant whose edge
                 # to v is oriented already
-                if height[w] is not None and height[w] >= height[v] - 1:
+                hw = height[w]
+                if hw is not None and hw >= hv - 1:
                     continue
-                ei = (v, w)
-                self.out[v].append(w)
-                self.lowpt[ei] = self.lowpt2[ei] = height[v]
-                if height[w] is None:  # tree edge
+                ei = len(dst)
+                src.append(v)
+                dst.append(w)
+                out[v].append(ei)
+                lowpt2.append(hv)
+                if hw is None:  # tree edge
+                    lowpt.append(hv)
                     parent_edge[w] = ei
-                    height[w] = height[v] + 1
-                    stack.append((w, iter(list(_bits(self.rows[w])))))
+                    height[w] = hv + 1
+                    stack.append((w, iter(list(_bits(rows[w])))))
                     break
-                self.lowpt[ei] = height[w]  # back edge
-                self._finish_edge(ei)
+                lowpt.append(hw)  # back edge, with lowpoints (h(w), h(v))
+                # fold it into v's parent edge e, whose lowpoints start at
+                # h(v) - 1 and only fall, so h(v) never lowers them
+                e = parent_edge[v]
+                low_e = lowpt[e]
+                if hw < low_e:
+                    lowpt2[e] = low_e
+                    lowpt[e] = hw
+                elif hw > low_e and hw < lowpt2[e]:
+                    lowpt2[e] = hw
             else:
                 stack.pop()
-                if parent_edge[v] is not None:
-                    self._finish_edge(parent_edge[v])
-
-    def _finish_edge(self, ei) -> None:
-        e = self.parent_edge[ei[0]]
-        if e is None:
-            return
-        if self.lowpt[ei] < self.lowpt[e]:
-            self.lowpt2[e] = min(self.lowpt[e], self.lowpt2[ei])
-            self.lowpt[e] = self.lowpt[ei]
-        elif self.lowpt[ei] > self.lowpt[e]:
-            self.lowpt2[e] = min(self.lowpt2[e], self.lowpt[ei])
-        else:
-            self.lowpt2[e] = min(self.lowpt2[e], self.lowpt2[ei])
+                ei = parent_edge[v]
+                if ei is None:
+                    continue
+                e = parent_edge[src[ei]]
+                if e is None:
+                    continue
+                # fold the finished tree edge ei into its parent edge e
+                low, low_e = lowpt[ei], lowpt[e]
+                if low < low_e:
+                    lowpt2[e] = min(low_e, lowpt2[ei])
+                    lowpt[e] = low
+                elif low > low_e:
+                    lowpt2[e] = min(lowpt2[e], low)
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[ei])
 
     # -- pass 2: constraint testing --------------------------------------
 
     def _test(self, root: int) -> bool:
+        height, parent_edge, out = self.height, self.parent_edge, self.out
+        src, dst, lowpt, ref, lowpt_edge = self.src, self.dst, self.lowpt, self.ref, self.lowpt_edge
+        S: list[list] = []  # the conflict stack
+        # a frame is (vertex, index of its next outgoing edge, stack height
+        # when the edge before that began)
         stack = [(root, 0, 0)]
         while stack:
             v, i, _ = stack[-1]
-            adjs = self.out[v]
+            adjs = out[v]
             if i < len(adjs):
-                bottom = len(self.S)
+                bottom = len(S)
                 stack[-1] = (v, i + 1, bottom)
-                w = adjs[i]
-                ei = (v, w)
-                if ei == self.parent_edge[w]:  # tree edge: descend first
-                    stack.append((w, 0, 0))
+                ei = adjs[i]
+                if ei == parent_edge[dst[ei]]:  # tree edge: descend first
+                    stack.append((dst[ei], 0, 0))
                     continue
-                self.lowpt_edge[ei] = ei  # back edge
-                self.S.append(_Pair(right=_Interval(ei, ei)))
-                if not self._after_edge(v, w, i, bottom):
-                    return False
-                continue
-            stack.pop()
-            e = self.parent_edge[v]
-            if e is None:
-                continue
-            u = e[0]
-            self._trim_back_edges(u)
-            if self.lowpt[e] < self.height[u]:
-                # the side of e is the side of a highest return edge
-                top = self.S[-1]
-                hl, hr = top.left.high, top.right.high
-                if hl is not None and (hr is None or self.lowpt[hl] > self.lowpt[hr]):
-                    self.ref[e] = hl
-                else:
-                    self.ref[e] = hr
-            _, i, bottom = stack[-1]
-            if not self._after_edge(u, v, i - 1, bottom):
-                return False
-        return True
-
-    def _after_edge(self, v: int, w: int, idx: int, bottom: int) -> bool:
-        ei = (v, w)
-        if self.lowpt[ei] >= self.height[v]:
-            return True  # no return edge
-        if idx == 0:
-            self.lowpt_edge[self.parent_edge[v]] = self.lowpt_edge[ei]
-            return True
-        return self._add_constraints(ei, self.parent_edge[v], bottom)
-
-    def _conflicting(self, interval: _Interval, b) -> bool:
-        return interval.high is not None and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _lowest(self, pair: _Pair) -> int:
-        if pair.left.empty():
-            return self.lowpt[pair.right.low]
-        if pair.right.empty():
-            return self.lowpt[pair.left.low]
-        return min(self.lowpt[pair.left.low], self.lowpt[pair.right.low])
-
-    def _add_constraints(self, ei, e, bottom: int) -> bool:
-        P = _Pair()
-        # merge return edges of ei into P.right
-        while True:
-            Q = self.S.pop()
-            if not Q.left.empty():
-                Q.swap()
-            if not Q.left.empty():
-                return False
-            if self.lowpt[Q.right.low] > self.lowpt[e]:
-                if P.right.empty():
-                    P.right.high = Q.right.high
-                else:
-                    self.ref[P.right.low] = Q.right.high
-                P.right.low = Q.right.low
+                lowpt_edge[ei] = ei  # back edge
+                S.append([None, None, ei, ei])
             else:
-                self.ref[Q.right.low] = self.lowpt_edge[e]
-            if len(self.S) <= bottom:
-                break
-        # merge conflicting return edges of earlier siblings into P.left
-        while self.S and (
-            self._conflicting(self.S[-1].left, ei)
-            or self._conflicting(self.S[-1].right, ei)
-        ):
-            Q = self.S.pop()
-            if self._conflicting(Q.right, ei):
-                Q.swap()
-            if self._conflicting(Q.right, ei):
-                return False
-            self.ref[P.right.low] = Q.right.high
-            if Q.right.low is not None:
-                P.right.low = Q.right.low
-            if P.left.empty():
-                P.left.high = Q.left.high
-            else:
-                self.ref[P.left.low] = Q.left.high
-            P.left.low = Q.left.low
-        if not (P.left.empty() and P.right.empty()):
-            self.S.append(P)
+                stack.pop()
+                ei = parent_edge[v]
+                if ei is None:
+                    continue
+                u = src[ei]
+                hu = height[u]
+                # drop entire conflict pairs that return to u
+                while S:
+                    ll, lh, rl, rh = S[-1]
+                    if ll is None and lh is None:
+                        lowest = lowpt[rl]
+                    elif rl is None and rh is None:
+                        lowest = lowpt[ll]
+                    else:
+                        lowest = min(lowpt[ll], lowpt[rl])
+                    if lowest != hu:
+                        break
+                    S.pop()
+                if S:  # trim one more pair's intervals
+                    ll, lh, rl, rh = P = S[-1]
+                    while lh is not None and dst[lh] == u:
+                        lh = ref[lh]
+                    if lh is None and ll is not None:
+                        ref[ll] = rl
+                        ll = None
+                    while rh is not None and dst[rh] == u:
+                        rh = ref[rh]
+                    if rh is None and rl is not None:
+                        ref[rl] = ll
+                        rl = None
+                    P[:] = ll, lh, rl, rh
+                if lowpt[ei] < hu:
+                    # the side of ei is the side of a highest return edge
+                    _, lh, _, rh = S[-1]
+                    ref[ei] = lh if lh is not None and (rh is None or lowpt[lh] > lowpt[rh]) else rh
+                v, i, bottom = stack[-1]
+                i -= 1
+            # integrate the return edges of ei, the i-th outgoing edge of v
+            low = lowpt[ei]
+            if low >= height[v]:
+                continue  # no return edge
+            e = parent_edge[v]
+            if i == 0:
+                lowpt_edge[e] = lowpt_edge[ei]
+                continue
+            # merge the return edges of ei into the right side of a new pair
+            pll = plh = prl = prh = None
+            low_e = lowpt[e]
+            while True:
+                ql, qlh, qrl, qrh = S.pop()
+                if ql is not None or qlh is not None:
+                    ql, qlh, qrl, qrh = qrl, qrh, ql, qlh
+                    if ql is not None or qlh is not None:
+                        return False
+                if lowpt[qrl] > low_e:
+                    if prl is None and prh is None:
+                        prh = qrh
+                    else:
+                        ref[prl] = qrh
+                    prl = qrl
+                else:
+                    ref[qrl] = lowpt_edge[e]
+                if len(S) <= bottom:
+                    break
+            # merge conflicting return edges of earlier siblings into its left side
+            while S:
+                ql, qlh, qrl, qrh = S[-1]
+                if qrh is not None and lowpt[qrh] > low:
+                    ql, qlh, qrl, qrh = qrl, qrh, ql, qlh
+                    if qrh is not None and lowpt[qrh] > low:
+                        return False
+                elif qlh is None or lowpt[qlh] <= low:
+                    break
+                S.pop()
+                if prl is not None:  # the right side may have no return edge of ei
+                    ref[prl] = qrh
+                if qrl is not None:
+                    prl = qrl
+                if pll is None and plh is None:
+                    plh = qlh
+                else:
+                    ref[pll] = qlh
+                pll = ql
+            if not (pll is None and plh is None and prl is None and prh is None):
+                S.append([pll, plh, prl, prh])
         return True
-
-    def _trim_back_edges(self, u: int) -> None:
-        # drop entire conflict pairs that return to u
-        while self.S and self._lowest(self.S[-1]) == self.height[u]:
-            self.S.pop()
-        if not self.S:
-            return
-        # trim one more pair's intervals
-        P = self.S.pop()
-        while P.left.high is not None and P.left.high[1] == u:
-            P.left.high = self.ref.get(P.left.high)
-        if P.left.high is None and P.left.low is not None:
-            self.ref[P.left.low] = P.right.low
-            P.left.low = None
-        while P.right.high is not None and P.right.high[1] == u:
-            P.right.high = self.ref.get(P.right.high)
-        if P.right.high is None and P.right.low is not None:
-            self.ref[P.right.low] = P.left.low
-            P.right.low = None
-        self.S.append(P)
 
 
 def _past_euler(v: int, e: int, g: Graph) -> bool:

@@ -11,9 +11,11 @@ A parent is grown only from the least non-edge of each orbit of its
 automorphism group, since the other members of an orbit give copies of that
 child, which pass or fail the test with it. When e is the only deletable edge
 of maximum invariant, H is the only accepted copy of its class
-(`_accepted_children` says why), so it is kept unlabelled; only the accepted
-children whose new edge ties there are labelled to drop copies, and a kept
-child is labelled later only if it is grown or checked for maximality. In
+(`_accepted_children` says why), so it is kept unlabelled. Of the children
+whose new edge ties there, only those whose `_invariant` (the sorted
+(degree, sum of neighbour degrees) pairs) another tied child shares are
+labelled to drop copies, since isomorphic graphs share it; a kept child is
+labelled later only if it is grown or reported maximal. In
 `graph_classes(n, m)`, which grows from the empty graph on n vertices, every
 edge is deletable. The search starts from the trees on n vertices, which
 `_trees` generates directly, one per class, as the canonical level sequences
@@ -33,7 +35,10 @@ stops at the first m with no survivor. Planarity of token graphs only ever
 degrades when edges are added to the base, so every survivor at level m is
 a child of a survivor at level m - 1 (its canonical deletion among them),
 and a survivor is edge-maximal iff no survivor of level m + 1 loses an edge
-to it. The two modes differ only in which level they grow from: "pruned"
+to it. A survivor that grew a survivor of level m + 1, or a copy of one that
+`_dedup` dropped, is not, with no label needed; for the others, only the
+deletions of level m + 1's survivors that share their invariant are
+labelled. The two modes differ only in which level they grow from: "pruned"
 mode (the default) grows from the previous level's survivors, "verbatim"
 mode from the whole previous level, which cross-checks the pruning.
 
@@ -79,18 +84,20 @@ class _Rep:
     """A class representative with its canonical graph6 string and automorphism generators.
 
     Both stay None until `labelled` runs one labelling search. `_dedup`
-    labels only the graphs it has to compare; a child that is the only copy
-    of its class, and a tree from `_trees`, are labelled only when grown or
-    checked for maximality, and the maximality check then reads the same
-    label.
+    labels only the graphs whose invariant another graph of their batch
+    shares; every other kept graph, and a tree from `_trees`, is labelled
+    only when grown or reported maximal. `parents` holds the reps of the
+    level below that grew this graph or a dropped copy of it; the search
+    reads it once, to spare the maximality check, and then clears it.
     """
 
-    __slots__ = ("g", "label", "gens")
+    __slots__ = ("g", "label", "gens", "parents")
 
     def __init__(self, g: Graph):
         self.g = g
         self.label = None  # canonical graph6 string
         self.gens = None  # a tuple; the shared empty tuple when none was found
+        self.parents = ()
 
     def labelled(self) -> "_Rep":
         if self.gens is None:
@@ -99,22 +106,51 @@ class _Rep:
         return self
 
 
-def _dedup(graphs) -> list[_Rep]:
+def _invariant(g: Graph) -> tuple[int, ...]:
+    """The sorted (degree d, sum s of neighbour degrees) pairs of g, each as the int s * n + d.
+
+    Isomorphic graphs have equal invariants. The bits are walked inline, as
+    this runs once per tied child.
+    """
+    n, adj = g.n, g._adj
+    deg = [row.bit_count() for row in adj]
+    pairs = []
+    for d, row in zip(deg, adj):
+        s = 0
+        while row:
+            low = row & -row
+            s += deg[low.bit_length() - 1]
+            row ^= low
+        pairs.append(s * n + d)
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _dedup(children) -> list[_Rep]:
     """The first graph of each isomorphism class, in order of appearance.
 
-    `graphs` yields (graph, unique) pairs. A graph flagged unique is known to
-    be the only one of its class among them, so it is kept unlabelled; every
-    other graph is labelled and kept iff its label is new.
+    `children` yields (graph, unique, parent) triples. A graph flagged
+    unique is known to be the only one of its class among them. So is any
+    other graph whose `_invariant` no other unflagged graph shares: the
+    first graph with an invariant is kept unlabelled, and labelled only
+    when a second one with that invariant arrives, which is labelled too
+    and kept iff its label is new. Each kept rep's `parents` lists the
+    parent of every copy of it, kept or dropped.
     """
-    seen: set[str] = set()
+    by_invariant: dict[tuple, _Rep] = {}  # the first unflagged graph with each invariant
+    by_label: dict[str, _Rep] = {}
     out = []
-    for g, unique in graphs:
+    for g, unique, parent in children:
         rep = _Rep(g)
         if not unique:
-            label = rep.labelled().label
-            if label in seen:
-                continue
-            seen.add(label)
+            first = by_invariant.setdefault(_invariant(g), rep)
+            if first is not rep:
+                by_label.setdefault(first.labelled().label, first)
+                kept = by_label.setdefault(rep.labelled().label, rep)
+                if kept is not rep:
+                    kept.parents.append(parent)
+                    continue
+        rep.parents = [parent]
         out.append(rep)
     return out
 
@@ -206,12 +242,13 @@ def _orbit_leaders(g: Graph, gens) -> list[tuple[int, int]]:
 def _accepted_children(level: list[_Rep], connected: bool):
     """The children of `level` that pass the test, by parent and then new edge (u, v).
 
-    Yields (child, unique) pairs: `unique` when the new edge is the child's
-    only deletable edge of maximum invariant. A parent's children come one
-    per orbit of its automorphism group on its non-edges, from the orbit's
-    least pair. The test is an isomorphism invariant (degrees, common
-    neighbours, bridges), so an orbit's children pass or fail together, and
-    every child skipped is a copy of an earlier one that `_dedup` would drop.
+    Yields (child, unique, parent) triples: `unique` when the new edge is
+    the child's only deletable edge of maximum invariant. A parent's
+    children come one per orbit of its automorphism group on its non-edges,
+    from the orbit's least pair. The test is an isomorphism invariant
+    (degrees, common neighbours, bridges), so an orbit's children pass or
+    fail together, and every child skipped is a copy of an earlier one that
+    `_dedup` would drop.
     A unique child is the only accepted copy of its class: an isomorphism
     between two such copies carries one new edge onto the other, so it
     restricts to an automorphism of their one parent (the level holds one
@@ -231,7 +268,7 @@ def _accepted_children(level: list[_Rep], connected: bool):
             deg[v] += 1
             rank = _is_canonical_deletion(adj, deg, u, v, connected)
             if rank:
-                yield Graph._from_adj(adj), rank == 1
+                yield Graph._from_adj(adj, g.m + 1), rank == 1, rep
             deg[u] -= 1
             deg[v] -= 1
 
@@ -244,8 +281,9 @@ def _grow(level: list[_Rep], connected: bool) -> list[_Rep]:
     next level still appears: a deletable edge of maximum invariant is the
     new edge of a child of the representative of its deletion's class. A
     child whose new edge is the only deletable edge of maximum invariant is
-    kept unlabelled; only the children that tie there are labelled to keep
-    the first of each class.
+    kept unlabelled; of the children that tie there, only those whose
+    `_invariant` another tied child shares are labelled to keep the first
+    of each class.
     """
     return _dedup(_accepted_children(level, connected))
 
@@ -256,7 +294,8 @@ def _leaf_extensions(trees: list[_Rep]) -> list[_Rep]:
     Each tree is padded with an isolated w, which its automorphisms fix, so
     the non-edges (u, w) that lead their orbits give one new leaf per orbit of
     Aut on the vertices. Two trees can still have extensions of one class (a
-    tree with two kinds of leaf loses either), so every extension is labelled.
+    tree with two kinds of leaf loses either), so no extension is known to be
+    unique: those whose `_invariant` another extension shares are labelled.
     """
 
     def extensions():
@@ -266,7 +305,7 @@ def _leaf_extensions(trees: list[_Rep]) -> list[_Rep]:
             padded = Graph._from_adj([*g._adj, 0], g.m)
             for u, v in _orbit_leaders(padded, [perm + (w,) for perm in rep.gens]):
                 if v == w:
-                    yield padded.with_edge(u, w), False
+                    yield padded.with_edge(u, w), False, rep
 
     return _dedup(extensions())
 
@@ -350,10 +389,12 @@ _LEVELS: dict[tuple[int, int], tuple[_Rep, ...]] = {}
 
 Nothing is evicted, so for each order asked for, this holds one graph per
 class of every sparse level (m <= C(n, 2) / 2) up to the highest one asked
-for, and no more: 154,354 graphs for all of n = 9. A level keeps its graphs only, apart from the highest
-level of each order grown so far, whose labelled children (those that tied
-on the growth invariant) also keep a canonical string and generators: 10,579
-of the 34,040 classes of n = 9, m = 18. `GENERATOR_MAX_N` caps n.
+for, and no more: 154,354 graphs for all of n = 9. A level keeps its graphs
+only, apart from the highest level of each order grown so far, whose
+labelled children (those that tied on the growth invariant and shared their
+`_invariant` with another tied child) also keep a canonical string and
+generators: 8,934 of the 34,040 classes of n = 9, m = 18. `GENERATOR_MAX_N`
+caps n.
 """
 
 
@@ -364,8 +405,8 @@ def graph_classes(n: int, m: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of (n, m)-graphs.
 
     Dense levels are answered by complementing the sparse ones. Every level
-    of n = 9 (274,668 classes in all) takes about 24 s of CPU and peaks at
-    76 MB RSS together (2-vCPU Xeon, Python 3.11.7), while n = 10 has
+    of n = 9 (274,668 classes in all) takes about 9.4 s of CPU and peaks at
+    77 MB RSS together (2-vCPU Xeon, Python 3.11.7), while n = 10 has
     12,005,168 classes; the cap is `GENERATOR_MAX_N`, and the package only
     ever needs small m (or small co-m) there. A negative n or m has no class.
     """
@@ -397,6 +438,8 @@ def _sparse_classes(n: int, m: int) -> tuple[_Rep, ...]:
         level = tuple(_grow(below, connected=False))
         for rep in below:  # level m - 1 is never grown again: keep its graphs only
             rep.label = rep.gens = None
+        for rep in level:  # and level m needs no parents
+            rep.parents = ()
     _LEVELS[key] = level
     return level
 
@@ -529,7 +572,7 @@ def _search_order(n, k, prune, seeds, deadline, entries, maximal, stopped_at):
     next level is tested; a budget cut leaves the pending ones unreported.
     """
     level: list[_Rep] = []
-    pending: list[_Rep] = []  # survivors of level m - 1, labelled when grown or checked here
+    pending: list[_Rep] = []  # survivors of level m - 1, labelled when level m is grown
     for m in count(n - 1):
         if time.monotonic() > deadline:
             return None
@@ -542,11 +585,20 @@ def _search_order(n, k, prune, seeds, deadline, entries, maximal, stopped_at):
         survivors = [rep for rep in level if token_planarity(rep.g, k).planar]
         entries.append(SearchEntry(n, m, len(level), len(survivors)))
         if pending:
-            # a pending survivor is connected, so only connected deletions can equal one
-            deletions = (h for t in survivors for h in _cycle_edge_deletions(t.g))
-            parents = {canonical_graph6(h) for h in deletions}
-            labels = (rep.labelled().label for rep in pending)
-            maximal.extend(s for s in labels if s not in parents)
+            # a survivor's parent loses an edge to it; a pending survivor that
+            # grew none may still be some survivor's deletion on another edge.
+            # It is connected, so only connected deletions can equal it, and
+            # only those that share its invariant are labelled
+            grew = {p for rep in survivors for p in rep.parents}
+            rest = [rep for rep in pending if rep not in grew]
+            if rest:
+                keys = {_invariant(rep.g) for rep in rest}
+                deletions = (h for t in survivors for h in _cycle_edge_deletions(t.g))
+                parents = {canonical_graph6(h) for h in deletions if _invariant(h) in keys}
+                labels = (rep.labelled().label for rep in rest)
+                maximal.extend(s for s in labels if s not in parents)
+        for rep in level:  # parent references live for one level
+            rep.parents = ()
         if m == n - 1:
             seeds = survivors
         if not survivors:

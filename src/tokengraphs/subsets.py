@@ -47,6 +47,16 @@ class KSubset(Record):
         return iter(self.members)
 
 
+def _read_subset(n: int, s) -> KSubset:
+    """`s` as a subset of 0..n-1: a KSubset over that ground set, or an
+    iterable of distinct members of it; anything else raises ValueError."""
+    if not isinstance(s, KSubset):
+        return KSubset(tuple(sorted(_check_vertex(n, v) for v in s)), n)
+    if s.n != n:
+        raise ValueError(f"subset over 0..{s.n - 1} for a graph on {n} vertices")
+    return s
+
+
 class SubsetCodec:
     """Bijective rank/unrank for the k-subsets of {0..n-1} in colex order."""
 
@@ -82,12 +92,11 @@ class SubsetCodec:
             yield x
 
     def rank(self, s) -> int:
-        """Colex rank of a KSubset or iterable of k distinct members of 0..n-1."""
-        if not isinstance(s, KSubset):
-            s = KSubset(tuple(sorted(_check_vertex(self.n, v) for v in s)), self.n)
+        """Colex rank of a KSubset over 0..n-1 or iterable of k distinct members of it."""
+        s = _read_subset(self.n, s)
         if s.k != self.k:
             raise ValueError(f"expected a {self.k}-subset, got {s.members}")
-        return self.rank_mask(s.mask)  # rejects a member >= n, as of a KSubset over a larger n
+        return self.rank_mask(s.mask)
 
     def rank_mask(self, mask: int) -> int:
         """Colex rank of a subset given as a bitmask: k set bits, each below n."""

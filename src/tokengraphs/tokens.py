@@ -37,9 +37,10 @@ Rows are bitmask ints of up to V bits, so a build can hold up to about V²/8
 bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The vertex budget of
 10^5 bounds that by 10^10/8 bytes, about 1.2 GiB. The left-right test
 holds O(V + E) on top: it runs only on a graph with E <= 3V - 6 (the Euler
-bound rejects the rest first), and keeps about 600 bytes of RSS per edge
-(F_2(P_300): 89,102 edges, 50 MB), so at the budget a planarity test of a
-build may hold about 1.2 GiB of rows plus about 0.2 GiB of its own.
+bound rejects the rest first), and keeps about 280 bytes of RSS per edge
+(F_2(P_300): 89,102 edges, 24 MB on Python 3.11.7), so at the budget a
+planarity test of a build may hold about 1.2 GiB of rows plus about 0.1 GiB
+of its own.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from math import comb
 
 from ._record import Record
 from .errors import BudgetExceeded
-from .graphs import Graph, _bits, _check_k, _check_vertex, _relabeled, complete_graph
-from .subsets import KSubset, SubsetCodec
+from .graphs import Graph, _bits, _check_k, _relabeled, complete_graph
+from .subsets import KSubset, SubsetCodec, _read_subset
 
 DEFAULT_VERTEX_BUDGET = 10**5
 
@@ -151,11 +152,7 @@ def token_degree(g: Graph, subset) -> int:
     distinct members of it; anything else raises ValueError, as
     `SubsetCodec.rank` does.
     """
-    if not isinstance(subset, KSubset):
-        subset = KSubset(tuple(sorted(_check_vertex(g.n, v) for v in subset)), g.n)
-    elif subset.n != g.n:
-        raise ValueError(f"subset over 0..{subset.n - 1} for a graph on {g.n} vertices")
-    amask = subset.mask
+    amask = _read_subset(g.n, subset).mask
     return sum((g._adj[u] & ~amask).bit_count() for u in _bits(amask))
 
 

@@ -201,6 +201,60 @@ def test_token_graphs_up_to_a_thousand_vertices_match_networkx():
     assert methods[True, "left-right"] and methods[False, "left-right"]
 
 
+def _stacked_triangulation(rng: random.Random, n: int) -> set:
+    """The edges of a random triangulation on n >= 3 vertices (3n - 6 edges):
+    each new vertex goes inside a random face and is joined to its corners."""
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
+
+
+def _lr_cross_check_case(rng: random.Random, family: str) -> Graph:
+    n = rng.randint(1, 40) if family in ("forest", "sparse") else rng.randint(5, 40)
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    if family == "forest":  # a few trees and isolated vertices
+        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85}
+    elif family == "sparse":  # disconnected as often as not
+        edges = set(rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n))))
+    else:
+        edges = _stacked_triangulation(rng, n)
+        for e in rng.sample(sorted(edges), rng.randint(1, 3)):
+            edges.discard(e)
+        if family == "near-3n-6":  # one edge put back anywhere: planar or not
+            edges.add(rng.choice([e for e in pairs if e not in edges]))
+        elif family == "union":  # beside K_5 or K_3,3, and two isolated vertices
+            extra = complete_graph(5) if rng.random() < 0.5 else complete_bipartite_graph(3, 3)
+            edges |= {(n + u, n + v) for u, v in extra.edges()}
+            n += extra.n + 2
+    return shuffled(rng, Graph(n, sorted(edges)))
+
+
+def test_left_right_matches_networkx_on_random_graphs():
+    """The left-right test itself, Euler bound aside, on 3,000 graphs of up to
+    40 vertices (49 with a union's extra parts): forests, sparse and mostly
+    disconnected graphs, triangulations less a few edges (just under
+    3n - 6), the same with one edge put back at random, and triangulations
+    less a few edges beside a K_5 or K_3,3 and isolated vertices."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2009)
+    seen = Counter()
+    for i in range(3000):
+        family = ("forest", "sparse", "under-3n-6", "near-3n-6", "union")[i % 5]
+        g = _lr_cross_check_case(rng, family)
+        planar = _networkx_planar(nx, g)
+        assert tokengraphs.planarity._LeftRight(g).run() == planar, (family, encode_graph6(g))
+        assert is_planar(g).planar == planar, (family, encode_graph6(g))
+        seen[family, planar] += 1
+    assert seen["forest", True] == seen["under-3n-6", True] == 600
+    assert seen["sparse", True] and seen["sparse", False]
+    assert seen["near-3n-6", True] and seen["near-3n-6", False]
+    assert seen["union", False] == 600
+
+
 def test_verdict_is_truthy():
     assert bool(is_planar(path_graph(3)))
     assert not bool(is_planar(petersen_graph()))

@@ -32,6 +32,7 @@ from tokengraphs import (
 )
 from tokengraphs.search import (
     _Rep,
+    _accepted_children,
     _grow,
     _is_canonical_deletion,
     _orbit_leaders,
@@ -220,29 +221,51 @@ def has_one_top_deletion(g, connected):
     return ranks[max(ranks)] == 1
 
 
+def degree_pairs(g):
+    """The sorted (degree, sum of neighbour degrees) pairs of g."""
+    deg = g.degrees()
+    return tuple(sorted((deg[v], sum(deg[u] for u in g.neighbors(v))) for v in range(g.n)))
+
+
+def unlabelled_by_rule(below, connected):
+    """Whether growing `below` should leave a kept child g unlabelled: iff its
+    new edge is its one deletable edge of maximum invariant, or no other
+    child of the batch that ties there has g's degree pairs."""
+    batch = list(_accepted_children(below, connected))
+    assert [unique for _, unique, _ in batch] == [
+        has_one_top_deletion(child, connected) for child, _, _ in batch
+    ]
+    tied = Counter(degree_pairs(child) for child, unique, _ in batch if not unique)
+    return lambda g: has_one_top_deletion(g, connected) or tied[degree_pairs(g)] == 1
+
+
 def test_grown_levels_hold_each_class_once_and_label_only_ties(monkeypatch):
-    """Every grown level holds pairwise distinct classes, and exactly the
-    children with one deletable edge of maximum invariant stay unlabelled."""
+    """Every grown level holds pairwise distinct classes, and a child stays
+    unlabelled iff its new edge is the only deletable edge of maximum
+    invariant or its degree pairs are unique among the tied children of its
+    batch."""
     monkeypatch.setattr(tokengraphs.search, "_LEVELS", {})
+    tied_kept = Counter()  # labelled or not, over the tied children kept
     for n in range(1, 9):
         total = n * (n - 1) // 2
         for m in range(total + 1):
             if 0 < m <= total - m:
                 level = _sparse_classes(n, m)  # fresh: nothing has grown it yet
-                assert [r.gens is None for r in level] == [
-                    has_one_top_deletion(r.g, False) for r in level
-                ], (n, m)
+                rule = unlabelled_by_rule(_sparse_classes(n, m - 1), False)
+                assert [r.gens is None for r in level] == [rule(r.g) for r in level], (n, m)
+                tied_kept.update(r.gens is None for r in level if not has_one_top_deletion(r.g, False))
             batch = graph_classes(n, m)
             assert len({canonical_graph6(g) for g in batch}) == len(batch), (n, m)
     stops = edge_maximal_search(2, range(5, 10), prune=False).stopped_at
     for n in range(2, 10):
         reps = [_Rep(t) for t in _trees(n)]
         for m in range(n, stops.get(n, n * (n - 1) // 2) + 1):
+            rule = unlabelled_by_rule(reps, True)
             reps = _grow(reps, connected=True)
-            assert [r.gens is None for r in reps] == [
-                has_one_top_deletion(r.g, True) for r in reps
-            ], (n, m)
+            assert [r.gens is None for r in reps] == [rule(r.g) for r in reps], (n, m)
             assert len({canonical_graph6(r.g) for r in reps}) == len(reps), (n, m)
+            tied_kept.update(r.gens is None for r in reps if not has_one_top_deletion(r.g, True))
+    assert tied_kept[True] and tied_kept[False]  # the pairs spare some ties, not all
 
 
 def test_orbit_leaders_skip_only_copies():
@@ -285,11 +308,27 @@ def test_growth_labels_only_accepted_children(monkeypatch):
     report = edge_maximal_search(2, range(5, 10), prune=False)
     labelled = len(calls)
     monkeypatch.undo()
-    # every child of every parent would be 11,236; every accepted child, 2,594;
-    # one per orbit, 2,026; only the children that tie on the invariant, 1,404
-    assert labelled < 1450
+    # labelling every child of every parent would make 11,236 labellings; every
+    # accepted child, 2,594; one per orbit, 2,026; only the children that tie
+    # on the invariant, 1,404; only the tied children whose degree pairs
+    # another tied child shares, 1,147
+    assert labelled <= 1150
     for e in report.entries:  # verbatim mode examines every connected class of each level
         assert e.generated == connected_counts(e.n)[e.m]
+
+
+@pytest.mark.parametrize("k, lo, hi, most", [(2, 5, 10, 90), (3, 6, 8, 25)])
+def test_pruned_census_labels_only_on_collisions(monkeypatch, k, lo, hi, most):
+    """The pruned censuses label 86 and 24 times: each parent grown, the
+    children and leaf extensions whose degree pairs collide, and the cycle-edge
+    deletions that share a pending survivor's pairs. Labelling every tied
+    child and every deletion made 229 and 45."""
+    calls = []
+    patch_labellers(monkeypatch, lambda g: calls.append(g.n))
+    report = edge_maximal_search(k, range(lo, hi + 1))
+    monkeypatch.undo()
+    assert len(calls) <= most
+    assert list(report.maximal) == sorted((GOLDEN / f"maximal_k{k}.g6").read_text().split())
 
 
 def test_search_labels_only_connected_graphs(monkeypatch):

@@ -4,7 +4,14 @@ from math import comb
 
 import pytest
 
-from tokengraphs import IndexOutOfRange, KSubset, SubsetCodec, build_token_graph, path_graph
+from tokengraphs import (
+    IndexOutOfRange,
+    KSubset,
+    SubsetCodec,
+    build_token_graph,
+    cycle_graph,
+    path_graph,
+)
 
 
 def colex_sorted(n, k):
@@ -63,6 +70,18 @@ def test_rank_rejects_repeated_and_out_of_range_members():
             tg.vertex_of(bad)
     with pytest.raises(ValueError, match="must be integers"):
         KSubset((0.5, 1), 5)
+
+
+def test_rank_rejects_a_subset_over_another_ground_set():
+    """A KSubset over another n is no subset of 0..n-1, even where its
+    members fit, as `token_degree` already held."""
+    codec = SubsetCodec(5, 2)
+    tg = build_token_graph(cycle_graph(5), 2)
+    for other in (KSubset((0, 1), 7), KSubset((0, 1), 9), KSubset((0, 1), 4)):
+        for rank in (codec.rank, tg.vertex_of):
+            with pytest.raises(ValueError, match=rf"subset over 0..{other.n - 1} for a graph on 5"):
+                rank(other)
+    assert codec.rank(KSubset((0, 1), 5)) == tg.vertex_of(KSubset((0, 1), 5)) == 0
 
 
 def test_rank_rejects_a_subset_of_the_wrong_size():
