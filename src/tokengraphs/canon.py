@@ -5,9 +5,11 @@ one vertex of the first smallest non-singleton cell, and recurses. Leaves are
 discrete partitions, i.e. labelings. Each tree node carries an invariant (the
 cell-size profile), and a leaf's key is the invariant sequence along its path
 followed by its certificate, the relabeled edge set packed as graph6 packs an
-upper triangle (`graph6._upper_bits`); the canonical labeling is the minimum
-key. The winning certificate is the canonical form, so the canonical graph6
-string is read off it (`graph6._graph6`), with no relabeled graph built.
+upper triangle (`graph6._upper_bits`): the search lists the edges once, and a
+leaf sets bit b(b-1)/2 + a per edge, a < b the labels of its ends. The
+canonical labeling is the minimum key. The winning certificate is the
+canonical form, so the canonical graph6 string is read off it
+(`graph6._graph6`), with no relabeled graph built.
 
 Two reference leaves steer pruning: the first leaf reached (kept fixed, for
 automorphism discovery) and the best leaf so far. Each is kept as one record,
@@ -35,8 +37,8 @@ from collections import deque
 
 from ._record import Record
 from .errors import SizeLimitExceeded
-from .graph6 import _graph6, _upper_bits
-from .graphs import Graph, _bits, _relabeled, _renamed
+from .graph6 import _graph6
+from .graphs import Graph, _bits, _relabeled
 
 CANON_MAX_N = 1024
 
@@ -127,6 +129,7 @@ class _Search:
     def __init__(self, adj):
         self.n = len(adj)
         self.adj = adj
+        self.edges = [(u, w) for u, row in enumerate(adj) for w in _bits(row >> u + 1 << u + 1)]
         # leaf records: (invariant path, certificate, label -> vertex)
         self.first: tuple | None = None
         self.first_path: tuple[int, ...] = ()  # individualized vertices, in order
@@ -268,7 +271,12 @@ class _Search:
         # every cell is a singleton whose id is its vertex's label (n = 0 has one empty cell)
         vert = [mask.bit_length() - 1 for mask in cells[: self.n]]  # label -> vertex
         labels = _labels(vert)
-        cert = _upper_bits(_renamed(self.adj, range(self.n), labels))
+        cert = 0  # the relabeled upper triangle, as `graph6._upper_bits` packs it
+        for u, w in self.edges:
+            a, b = labels[u], labels[w]
+            if a > b:
+                a, b = b, a
+            cert |= 1 << (b * (b - 1) >> 1) + a
         if self.first is None:  # the first leaf is also the first best leaf
             self.first_path = prefix
             self.first = self.best = (list(self._invs), cert, vert)

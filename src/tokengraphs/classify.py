@@ -33,8 +33,16 @@ from .errors import (
     TokenGraphError,
 )
 from .graph6 import decode_graph6
-from .graphs import Graph, _bits, _check_k, _has_planned, _iter_embeddings, has_subgraph
-from .minors import _P3_PLAN
+from .graphs import (
+    Graph,
+    _bits,
+    _check_k,
+    _has_planned,
+    _iter_embeddings,
+    _pattern_order,
+    has_subgraph,
+    path_graph,
+)
 from .tokens import token_degree
 
 
@@ -196,6 +204,9 @@ _CENSUS = {
     2: [decode_graph6(s) for s in r"C~ DZ[ DmW EDXg EE\? FGEb_ FHOT_ FMGHG G?J@a_ GD?ja? H?Ce@PO H?g_i@c I??e@POE? IGB@?SOK?".split()],
     3: [decode_graph6(s) for s in "EHwg EMGg".split()],
 }
+
+# the residual check's P_3, planned once for `_iter_embeddings`
+_P3_PLAN = _pattern_order(path_graph(3))
 
 
 def classify_planarity(g: Graph, k: int) -> TokenPlanarity:

@@ -22,7 +22,8 @@ from .graphs import Graph
 from .minors import apply_and_verify, format_script, lift_script, parse_script
 from .planarity import is_planar
 from .search import edge_maximal_search
-from .tokens import TokenGraph, build_token_graph
+from .subsets import SubsetCodec
+from .tokens import _neighbour_lists, _subset_label, build_token_graph
 
 
 def _read_graphs(args) -> list[Graph]:
@@ -47,23 +48,27 @@ def _read_one_graph(args) -> Graph:
     return graphs[0]
 
 
-def _dot(tg: TokenGraph) -> str:
-    lines = ["graph tokens {"]
-    for r, label in enumerate(tg.vertex_labels()):
-        lines.append(f'  v{r} [label="{label}"];')
-    for u, v in tg.graph.edges():
-        lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines)
+def _print_dot(g: Graph, k: int) -> None:
+    """Print F_k(g) as dot, line by line, from its neighbour lists (no rows):
+    the vertices, then each vertex's higher neighbours in ascending order."""
+    nbrs = _neighbour_lists(g, k)
+    print("graph tokens {")
+    for r, mask in enumerate(SubsetCodec(g.n, k).masks()):
+        print(f'  v{r} [label="{_subset_label(mask)}"];')
+    for u, row in enumerate(nbrs):
+        for v in sorted(w for w in row if w > u):
+            print(f"  v{u} -- v{v};")
+    print("}")
 
 
 def _cmd_build(args) -> int:
     for g in _read_graphs(args):
+        if args.out == "dot":
+            _print_dot(g, args.k)
+            continue
         tg = build_token_graph(g, args.k)
         if args.out == "g6":
             print(encode_graph6(tg.graph))
-        elif args.out == "dot":
-            print(_dot(tg))
         else:
             t = tg.graph
             # F_k(g) is connected iff g is, so no walk over the token vertices

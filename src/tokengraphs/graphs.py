@@ -545,9 +545,5 @@ def contains_disjoint(g: Graph, pattern_a: Graph, pattern_b: Graph) -> bool:
     _check_pattern(pattern_b)
     # Place the larger pattern first: fewer embeddings to sweep.
     big, small = sorted((pattern_a, pattern_b), key=lambda p: -p.n)
-    return _contains_disjoint_planned(g, _pattern_order(big), _pattern_order(small))
-
-
-def _contains_disjoint_planned(g: Graph, plan_a, plan_b) -> bool:
-    """`contains_disjoint` for planned patterns, placing `plan_a`'s first."""
-    return any(_has_planned(g, plan_b, used) for used in _iter_embeddings(g, plan_a))
+    plan_big, plan_small = _pattern_order(big), _pattern_order(small)
+    return any(_has_planned(g, plan_small, used) for used in _iter_embeddings(g, plan_big))

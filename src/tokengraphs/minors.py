@@ -14,8 +14,10 @@ rank.
 
 `nonplanarity_by_minor` collects the paper's lemmas that force a non-planar
 token graph without building it (a vertex of degree five, a long cycle, a
-path plus a disjoint claw, or a long path when k is interior). Their
-constant patterns are planned once, at import.
+path plus a disjoint claw, or a long path when k is interior). Each is a
+direct bitmask test on g: the claw and path lemma tries each centre with
+three of its neighbours and looks for a vertex with two neighbours left
+over, and the long path is a walk of simple paths to seven vertices.
 """
 
 from __future__ import annotations
@@ -25,18 +27,7 @@ from itertools import combinations
 
 from ._record import Record
 from .errors import BadK, InvalidScript
-from .graphs import (
-    Graph,
-    _check_k,
-    _contains_disjoint_planned,
-    _edit,
-    _has_planned,
-    _mask,
-    _pattern_order,
-    has_cycle_of_length_at_least,
-    path_graph,
-    star_graph,
-)
+from .graphs import Graph, _bits, _check_k, _edit, _mask, has_cycle_of_length_at_least
 from .subsets import SubsetCodec
 from .tokens import build_token_graph
 
@@ -202,10 +193,38 @@ def apply_and_verify(g: Graph, lifted: LiftedScript) -> bool:
     return edited_tokens == expected
 
 
-# the lemma patterns, planned once for `_iter_embeddings`
-_P3_PLAN = _pattern_order(path_graph(3))
-_K13_PLAN = _pattern_order(star_graph(4))
-_P7_PLAN = _pattern_order(path_graph(7))
+def _has_claw_and_disjoint_p3(g: Graph) -> bool:
+    """True iff g holds a K_{1,3} and a P_3 on disjoint vertices.
+
+    A claw is a centre with three of its neighbours, and a P_3 avoids it
+    iff some other vertex has two neighbours outside it.
+    """
+    adj = g._adj
+    everyone = (1 << g.n) - 1
+    middles = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= 2)
+    for c, row in enumerate(adj):
+        if row.bit_count() < 3:
+            continue
+        for a, b, d in combinations([1 << w for w in _bits(row)], 3):
+            rest = everyone ^ (1 << c | a | b | d)
+            if any((adj[v] & rest).bit_count() >= 2 for v in _bits(rest & middles)):
+                return True
+    return False
+
+
+def _has_path(g: Graph, p: int) -> bool:
+    """True iff g holds a path on p >= 1 vertices: a walk of simple paths
+    from each vertex, stopped at p vertices."""
+    adj = g._adj
+    for s in range(g.n):
+        stack = [(s, 1 << s, 1)]
+        while stack:
+            v, seen, size = stack.pop()
+            if size == p:
+                return True
+            for w in _bits(adj[v] & ~seen):
+                stack.append((w, seen | 1 << w, size + 1))
+    return False
 
 
 def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
@@ -225,8 +244,8 @@ def nonplanarity_by_minor(g: Graph, k: int) -> str | None:
         return "max-degree-5"
     if has_cycle_of_length_at_least(g, 5):
         return "cycle-5"
-    if _contains_disjoint_planned(g, _K13_PLAN, _P3_PLAN):
+    if _has_claw_and_disjoint_p3(g):
         return "disjoint-p3-k13"
-    if 3 <= k <= n - 3 and _has_planned(g, _P7_PLAN):
+    if 3 <= k <= n - 3 and _has_path(g, 7):
         return "p7-inner-k"
     return None

@@ -8,21 +8,24 @@ iterative because token graphs routinely reach several hundred vertices. The
 bipartite bound matters for token graphs: F_k(g) is bipartite iff g is
 (Fabila-Monroy et al., Graphs Combin. 28, 2012).
 
-The left-right test keeps only the state of Brandes' algorithm, in flat
+The left-right test takes one list of neighbours per vertex and the edge
+count; it needs no bitmask rows. `is_planar` lists each row's bits;
+`token_planarity` hands it F_k(g)'s lists as `tokens._neighbour_lists` makes
+them from the base. It keeps only the state of Brandes' algorithm, in flat
 lists indexed by vertex or by edge id, with no object per edge or per
 interval. The orientation DFS numbers the edges as it orients them and
 records each vertex's height, parent edge and outgoing edges, and each
-edge's ends and two lowpoints; it reads the adjacency rows directly, and a
-visited neighbour is a back edge iff it sits more than one level up. The
-outgoing edges are then sorted in place by nesting depth. The testing DFS
-keeps the conflict stack, whose pairs are 4-item lists of edge ids, and
-each edge's lowpoint edge and `ref` link; the stack height at which an edge
-began rides in its DFS frame. Each DFS does its per-edge steps inline.
+edge's ends and two lowpoints; a visited neighbour is a back edge iff it
+sits more than one level up. The outgoing edges are then sorted in place
+by nesting depth. The testing DFS keeps the conflict stack, whose pairs are
+4-item lists of edge ids, and each edge's lowpoint edge and `ref` link; the
+stack height at which an edge began rides in its DFS frame. Each DFS does
+its per-edge steps inline.
 
 `token_planarity` is the one path from "is F_k(g) planar?" to a verdict: the
 token graph's closed-form edge count, then the paper's lemmas
-(`nonplanarity_by_minor`), and only then a build of F_k(g) handed straight to
-the left-right test.
+(`nonplanarity_by_minor`), and only then the left-right test on F_k(g)'s
+neighbour lists, with no bitmask rows built.
 
 `planarity_oracle` is a deliberately independent cross-check for small graphs:
 planarity is decided by exhaustively searching for a K5 or K3,3 minor through
@@ -41,7 +44,7 @@ from ._record import Record
 from .errors import SizeLimitExceeded
 from .graphs import Graph, _bits, _check_k, _edit, _mask
 from .minors import nonplanarity_by_minor
-from .tokens import build_token_graph
+from .tokens import _neighbour_lists
 
 ORACLE_MAX_N = 10
 
@@ -66,7 +69,8 @@ class PlanarityVerdict(Record):
 class _LeftRight:
     """Left-right planarity test on one graph (any number of components).
 
-    Edges get ids 0..m-1 in the order the orientation DFS orients them,
+    `nbrs[v]` lists the neighbours of v, each once, and m is the number of
+    edges. Edges get ids 0..m-1 in the order the orientation DFS orients them,
     each edge once, and every per-edge datum is a flat list indexed by id:
     `src`, `dst`, `lowpt` and `lowpt2`, appended as the edges are oriented,
     then `ref` and `lowpt_edge` for the testing DFS. A conflict pair is a
@@ -74,18 +78,19 @@ class _LeftRight:
     where an interval has no end.
     """
 
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.rows = g._adj
-        self.height: list = [None] * g.n
-        self.parent_edge: list = [None] * g.n
-        self.out: list[list[int]] = [[] for _ in range(g.n)]
+    def __init__(self, nbrs: list[list[int]], m: int):
+        n = len(nbrs)
+        self.n = n
+        self.nbrs = nbrs
+        self.height: list = [None] * n
+        self.parent_edge: list = [None] * n
+        self.out: list[list[int]] = [[] for _ in range(n)]
         self.src: list[int] = []
         self.dst: list[int] = []
         self.lowpt: list[int] = []
         self.lowpt2: list[int] = []
-        self.ref: list = [None] * g.m
-        self.lowpt_edge: list = [None] * g.m
+        self.ref: list = [None] * m
+        self.lowpt_edge: list = [None] * m
 
     def run(self) -> bool:
         roots = []
@@ -107,11 +112,9 @@ class _LeftRight:
     # -- pass 1: orientation and lowpoints -------------------------------
 
     def _orient(self, root: int) -> None:
-        height, parent_edge, rows, out = self.height, self.parent_edge, self.rows, self.out
+        height, parent_edge, nbrs, out = self.height, self.parent_edge, self.nbrs, self.out
         src, dst, lowpt, lowpt2 = self.src, self.dst, self.lowpt, self.lowpt2
-        # a frame keeps its neighbours as a list: a `_bits` generator would keep
-        # two ints as wide as the row, so a DFS as deep as V would hold O(V^2) bits
-        stack = [(root, iter(list(_bits(rows[root]))))]
+        stack = [(root, iter(nbrs[root]))]
         while stack:
             v, it = stack[-1]
             hv = height[v]
@@ -131,7 +134,7 @@ class _LeftRight:
                     lowpt.append(hv)
                     parent_edge[w] = ei
                     height[w] = hv + 1
-                    stack.append((w, iter(list(_bits(rows[w])))))
+                    stack.append((w, iter(nbrs[w])))
                     break
                 lowpt.append(hw)  # back edge, with lowpoints (h(w), h(v))
                 # fold it into v's parent edge e, whose lowpoints start at
@@ -289,11 +292,12 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     """
     if _past_euler(g.n, g.m, g):
         return PlanarityVerdict(False, "euler-bound")
-    return PlanarityVerdict(_LeftRight(g).run(), "left-right")
+    nbrs = [list(_bits(row)) for row in g._adj]
+    return PlanarityVerdict(_LeftRight(nbrs, g.m).run(), "left-right")
 
 
 def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
-    """Planarity of F_k(g): edge bound, then the paper's lemmas, then a build.
+    """Planarity of F_k(g): edge bound, then the paper's lemmas, then LR.
 
     F_k(g) has V = C(n, k) vertices and E = m * C(n-2, k-1) edges (each edge
     of g moves a token while k - 1 others sit on the remaining n - 2
@@ -301,19 +305,22 @@ def token_planarity(g: Graph, k: int) -> PlanarityVerdict:
     one E <= 2V - 4. F_k(g) is bipartite when g is: a move changes the
     number of tokens on one side of g by exactly one. Past either bound the
     verdict is "token-edge-bound"; next, a lemma of `nonplanarity_by_minor`
-    rejects under its own name; only then is F_k(g) built and handed to the
-    left-right test. `is_planar` would add nothing there: its 3n - 6 bound is
-    the one above, and its bipartite bound is too, as F_k(g) is bipartite
-    only when g is. Raises BadK unless 1 <= k < n.
+    rejects under its own name; only then does the left-right test run, on
+    F_k(g)'s neighbour lists made from the base (`tokens._neighbour_lists`),
+    with no bitmask rows. `is_planar` would add nothing there: its 3n - 6
+    bound is the one above, and its bipartite bound is too, as F_k(g) is
+    bipartite only when g is. Raises BadK unless 1 <= k < n, and
+    BudgetExceeded when the test would list more than
+    `tokens.DEFAULT_VERTEX_BUDGET` token vertices.
     """
     k = _check_k(k, 1, g.n - 1)
-    if _past_euler(comb(g.n, k), g.m * comb(g.n - 2, k - 1), g):
+    m = g.m * comb(g.n - 2, k - 1)
+    if _past_euler(comb(g.n, k), m, g):
         return PlanarityVerdict(False, "token-edge-bound")
     lemma = nonplanarity_by_minor(g, k)
     if lemma is not None:
         return PlanarityVerdict(False, lemma)
-    built = build_token_graph(g, k).graph
-    return PlanarityVerdict(_LeftRight(built).run(), "left-right")
+    return PlanarityVerdict(_LeftRight(_neighbour_lists(g, k), m).run(), "left-right")
 
 
 # ---------------------------------------------------------------------------

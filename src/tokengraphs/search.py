@@ -30,7 +30,8 @@ of that edge is a copy of H that passes the test.
 
 The search walks m upward from n-1 per order n, keeps the graphs whose
 k-token graphs are planar (`token_planarity`, which rejects by the token
-graph's edge count, then by the paper's lemmas, before building it), and
+graph's edge count, then by the paper's lemmas, before it runs the
+left-right test on the token graph's neighbour lists), and
 stops at the first m with no survivor. Planarity of token graphs only ever
 degrades when edges are added to the base, so every survivor at level m is
 a child of a survivor at level m - 1 (its canonical deletion among them),

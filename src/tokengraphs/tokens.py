@@ -35,12 +35,17 @@ g moves a token while k - 1 others sit on the remaining n - 2 vertices.
 
 Rows are bitmask ints of up to V bits, so a build can hold up to about V²/8
 bytes of rows (F_9(C_18), V = 48,620, holds 217 MiB). The vertex budget of
-10^5 bounds that by 10^10/8 bytes, about 1.2 GiB. The left-right test
-holds O(V + E) on top: it runs only on a graph with E <= 3V - 6 (the Euler
-bound rejects the rest first), and keeps about 280 bytes of RSS per edge
-(F_2(P_300): 89,102 edges, 24 MB on Python 3.11.7), so at the budget a
-planarity test of a build may hold about 1.2 GiB of rows plus about 0.1 GiB
-of its own.
+10^5 bounds that by 10^10/8 bytes, about 1.2 GiB.
+
+A planarity test needs no rows. `_neighbour_lists` gives F_k(g) as one list
+of neighbours per vertex, walking the colex masks with one rank dict and
+finding each token edge once, from the end whose token moves up. The
+left-right test runs on those lists, so a planarity test holds O(V + E):
+it runs only on a graph with E <= 3V - 6 (the Euler bound rejects the rest
+first), and `token_planarity` on F_2(P_300) (44,850 vertices, 89,102 edges)
+peaks at 44 MB of RSS in a fresh interpreter, where rows and LR together
+peaked at 180 MB (Python 3.11.7). At the budget that is about 0.1 GiB.
+Both forms check the same budget, through `_budgeted_codec`.
 """
 
 from __future__ import annotations
@@ -73,7 +78,22 @@ class TokenGraph(Record):
 
     def vertex_labels(self) -> list[str]:
         """Human-readable subset labels, e.g. '{1,3}', indexed by vertex id."""
-        return ["{" + ",".join(map(str, _bits(mask))) + "}" for mask in self.codec.masks()]
+        return [_subset_label(mask) for mask in self.codec.masks()]
+
+
+def _budgeted_codec(n: int, k) -> SubsetCodec:
+    """The codec of F_k on n base vertices. Raises BadK unless k is an
+    integer with 1 <= k < n, BudgetExceeded when C(n, k) passes
+    DEFAULT_VERTEX_BUDGET; either before anything is allocated."""
+    k = _check_k(k, 1, n - 1)
+    codec = SubsetCodec(n, k)
+    size = codec.size
+    if size > DEFAULT_VERTEX_BUDGET:
+        raise BudgetExceeded(
+            f"C({n},{k}) = {size} token vertices exceed the budget {DEFAULT_VERTEX_BUDGET}"
+            f" (bitmask rows would need up to about {size * size / 8 / 2**20:,.0f} MiB)"
+        )
+    return codec
 
 
 def build_token_graph(g: Graph, k: int) -> TokenGraph:
@@ -89,14 +109,8 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
     (checked before anything is allocated).
     """
     n = g.n
-    k = _check_k(k, 1, n - 1)
-    codec = SubsetCodec(n, k)
-    size = codec.size
-    if size > DEFAULT_VERTEX_BUDGET:
-        raise BudgetExceeded(
-            f"C({n},{k}) = {size} token vertices exceed the budget {DEFAULT_VERTEX_BUDGET}"
-            f" (bitmask rows would need up to about {size * size / 8 / 2**20:,.0f} MiB)"
-        )
+    codec = _budgeted_codec(n, k)
+    k = codec.k
     base_adj = g._adj
     # rows[j] and ranks[j]: the rows of F_j(G[:i]) and a dict from each
     # j-subset of [i], as a mask, to its colex rank, kept in rank order
@@ -142,6 +156,41 @@ def build_token_graph(g: Graph, k: int) -> TokenGraph:
                     rank[b | bit_i] = c + q
     m = g.m * comb(n - 2, k - 1)
     return TokenGraph(base=g, k=k, graph=Graph._from_adj(rows[k], m), codec=codec)
+
+
+def _neighbour_lists(g: Graph, k) -> list[list[int]]:
+    """F_k(g) as one list of neighbours per token vertex, with no rows.
+
+    Vertex ids are colex ranks, as in `build_token_graph`, whose rows hold
+    the same neighbours. The walk goes over the k-subsets in rank order with
+    one dict from mask to rank. A token edge moves one token from u up to a
+    free neighbour w > u; the subset it leaves, S, has the lower rank, as
+    increasing masks are colex order. So each edge is found once, from S,
+    and appended to both ends' lists: a list holds its lower neighbours in
+    ascending order, then its higher ones in the order found. Raises what
+    `_budgeted_codec` raises.
+    """
+    rank = {s: r for r, s in enumerate(_budgeted_codec(g.n, k).masks())}
+    # the bits of each base vertex's higher neighbours
+    ups = [[1 << w for w in _bits(row >> u + 1 << u + 1)] for u, row in enumerate(g._adj)]
+    nbrs: list[list[int]] = [[] for _ in rank]
+    for s, r in rank.items():
+        row = nbrs[r]
+        tokens = s
+        while tokens:
+            bu = tokens & -tokens
+            tokens ^= bu
+            for bw in ups[bu.bit_length() - 1]:
+                if not s & bw:
+                    q = rank[s - bu + bw]
+                    row.append(q)
+                    nbrs[q].append(r)
+    return nbrs
+
+
+def _subset_label(mask: int) -> str:
+    """A subset as its members, e.g. '{1,3}'."""
+    return "{" + ",".join(map(str, _bits(mask))) + "}"
 
 
 def token_degree(g: Graph, subset) -> int:

@@ -52,6 +52,29 @@ def test_build_g6_and_dot(capsys):
     assert " -- " in out
 
 
+def test_build_dot_writes_the_builds_edges_in_order(monkeypatch, capsys):
+    """The dot comes from the neighbour lists, with no build, and reads as if
+    written from the build: the labelled vertices, then its edges (u, v),
+    u < v, in lexicographic order."""
+    bases = [decode_graph6("Cr"), complete_graph(6), path_graph(9), Graph(7, [(0, 6), (1, 5), (2, 3)])]
+    expected = []
+    for g in bases:
+        for k in range(1, g.n):
+            tg = build_token_graph(g, k)
+            lines = ["graph tokens {"]
+            lines += [f'  v{r} [label="{label}"];' for r, label in enumerate(tg.vertex_labels())]
+            lines += [f"  v{u} -- v{v};" for u, v in tg.graph.edges()]
+            expected.append((g, k, "\n".join(lines + ["}"]) + "\n"))
+
+    def refuse(*args):
+        raise AssertionError("the dot is written without a build")
+
+    monkeypatch.setattr(tokengraphs.cli, "build_token_graph", refuse)
+    for g, k, want in expected:
+        code, out, _ = run(capsys, "build", "-k", str(k), "--graph6", encode_graph6(g), "--out", "dot")
+        assert code == 0 and out == want, (g.edges(), k)
+
+
 def test_build_batch_from_file(tmp_path, capsys):
     src = tmp_path / "bases.g6"
     src.write_text("C~\nCr\n")

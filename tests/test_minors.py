@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import tokengraphs.graphs
+import tokengraphs.minors
 from tokengraphs import (
     BadK,
     ContractEdge,
@@ -22,10 +23,13 @@ from tokengraphs import (
     are_isomorphic,
     build_token_graph,
     complete_graph,
+    contains_disjoint,
     cycle_graph,
     empty_graph,
     encode_graph6,
     format_script,
+    graph_classes,
+    has_subgraph,
     lift_script,
     nonplanarity_by_minor,
     parse_script,
@@ -442,18 +446,43 @@ def test_every_large_non_path_tree_is_certified():
     assert nonplanarity_by_minor(path_graph(14), 2) is None
 
 
-def test_lemma_patterns_are_planned_once_at_import(monkeypatch):
-    def plan_again(pattern):
-        raise AssertionError("a lemma pattern was planned again")
+def test_pattern_lemmas_are_direct_bitmask_tests(monkeypatch):
+    """The lemmas place no pattern, and the residual check plans its P_3 once, at import."""
+    def place(*args):
+        raise AssertionError("a pattern was planned or placed")
 
-    monkeypatch.setattr(tokengraphs.graphs, "_pattern_order", plan_again)
+    monkeypatch.setattr(tokengraphs.graphs, "_pattern_order", place)
     witnesses = [
         (star_graph(6), 2, "max-degree-5"),
         (cycle_graph(5), 2, "cycle-5"),
         (Graph(7, [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]), 2, "disjoint-p3-k13"),
         (path_graph(7), 3, "p7-inner-k"),
     ]
-    for g, k, reason in witnesses:
-        assert nonplanarity_by_minor(g, k) == reason
-    # the residual certificate places the same P_3 plan
+    with monkeypatch.context() as patched:
+        patched.setattr(tokengraphs.graphs, "_iter_embeddings", place)
+        for g, k, reason in witnesses:
+            assert nonplanarity_by_minor(g, k) == reason
+    # the residual certificate places the P_3 it planned at import
     assert residual_degree_obstruction(path_graph(7), 3)
+
+
+def _lemma_tests_agree(g: Graph) -> None:
+    claw_p3 = contains_disjoint(g, star_graph(4), path_graph(3))
+    assert tokengraphs.minors._has_claw_and_disjoint_p3(g) == claw_p3, encode_graph6(g)
+    assert tokengraphs.minors._has_path(g, 7) == has_subgraph(g, path_graph(7)), encode_graph6(g)
+
+
+def test_pattern_lemma_tests_equal_pattern_containment():
+    """The bitmask tests of P_3 + K_{1,3} and P_7 against `contains_disjoint`
+    and `has_subgraph`: every class with n <= 8, connected or not, and
+    seeded random graphs with n <= 12."""
+    classes = 0
+    for n in range(9):
+        for m in range(n * (n - 1) // 2 + 1):
+            for g in graph_classes(n, m):
+                _lemma_tests_agree(g)
+                classes += 1
+    assert classes == 13_599  # 13,598 with n >= 1, and the order-0 graph
+    rng = random.Random(2012)
+    for _ in range(400):
+        _lemma_tests_agree(random_graph(rng, rng.randint(9, 12), rng.uniform(0.1, 0.4)))

@@ -1,12 +1,16 @@
 import random
 import sys
 from collections import Counter
+from math import comb
 
 import pytest
 
+import tokengraphs.minors
 import tokengraphs.planarity
+import tokengraphs.tokens
 from tokengraphs import (
     BadK,
+    BudgetExceeded,
     Graph,
     PlanarityVerdict,
     SizeLimitExceeded,
@@ -19,6 +23,7 @@ from tokengraphs import (
     encode_graph6,
     graph_classes,
     is_planar,
+    nonplanarity_by_minor,
     octahedron_graph,
     path_graph,
     petersen_graph,
@@ -27,6 +32,7 @@ from tokengraphs import (
     token_planarity,
 )
 from tokengraphs.search import _trees
+from tokengraphs.tokens import DEFAULT_VERTEX_BUDGET
 
 from util import random_graph, random_tree, shuffled
 
@@ -233,6 +239,11 @@ def _lr_cross_check_case(rng: random.Random, family: str) -> Graph:
     return shuffled(rng, Graph(n, sorted(edges)))
 
 
+def _left_right(g: Graph):
+    """The left-right test of g, on the neighbour lists `is_planar` hands it."""
+    return tokengraphs.planarity._LeftRight([g.neighbors(v) for v in range(g.n)], g.m)
+
+
 def test_left_right_matches_networkx_on_random_graphs():
     """The left-right test itself, Euler bound aside, on 3,000 graphs of up to
     40 vertices (49 with a union's extra parts): forests, sparse and mostly
@@ -246,7 +257,7 @@ def test_left_right_matches_networkx_on_random_graphs():
         family = ("forest", "sparse", "under-3n-6", "near-3n-6", "union")[i % 5]
         g = _lr_cross_check_case(rng, family)
         planar = _networkx_planar(nx, g)
-        assert tokengraphs.planarity._LeftRight(g).run() == planar, (family, encode_graph6(g))
+        assert _left_right(g).run() == planar, (family, encode_graph6(g))
         assert is_planar(g).planar == planar, (family, encode_graph6(g))
         seen[family, planar] += 1
     assert seen["forest", True] == seen["under-3n-6", True] == 600
@@ -337,7 +348,7 @@ def test_left_right_walks_a_dfs_deeper_than_the_recursion_limit():
     grid_edges = [(r * cols + c, r * cols + c + 1) for r in range(3) for c in range(cols - 1)]
     grid_edges += [(r * cols + c, (r + 1) * cols + c) for r in range(2) for c in range(cols)]
     grid = Graph(3 * cols, grid_edges)
-    lr = tokengraphs.planarity._LeftRight(grid)
+    lr = _left_right(grid)
     assert lr.run()
     assert max(lr.height) > sys.getrecursionlimit()
     assert is_planar(grid) == PlanarityVerdict(True, "left-right")
@@ -405,9 +416,25 @@ def test_planarity_keeps_no_state_and_needs_no_canonical_labelling():
     assert {name: repr(value) for name, value in names.items()} == before
 
 
-def test_token_planarity_hands_its_build_straight_to_left_right(monkeypatch):
-    def bounds_again(g):
-        raise AssertionError("token_planarity has applied both edge bounds already")
+def test_token_planarity_runs_left_right_on_neighbour_lists_without_rows(monkeypatch):
+    """No build and no `is_planar`: the lists go straight to the left-right
+    test, after `token_planarity` has applied both edge bounds itself."""
+    def refuse(*args):
+        raise AssertionError("token_planarity builds no rows and bounds the edges once")
 
-    monkeypatch.setattr(tokengraphs.planarity, "is_planar", bounds_again)
+    assert not hasattr(tokengraphs.planarity, "build_token_graph")
+    monkeypatch.setattr(tokengraphs.tokens, "build_token_graph", refuse)
+    monkeypatch.setattr(tokengraphs.minors, "build_token_graph", refuse)
+    monkeypatch.setattr(tokengraphs.planarity, "is_planar", refuse)
     assert token_planarity(path_graph(5), 2) == PlanarityVerdict(True, "left-right")
+
+
+def test_token_planarity_keeps_the_vertex_budget():
+    """F_2(P_448) has C(448, 2) = 100,128 vertices and 199,362 edges, under
+    2V - 4, and no lemma rejects a path at k = 2: only the budget stops it."""
+    g = path_graph(448)
+    assert comb(448, 2) > DEFAULT_VERTEX_BUDGET
+    assert g.m * comb(446, 1) <= 2 * comb(448, 2) - 4
+    assert nonplanarity_by_minor(g, 2) is None
+    with pytest.raises(BudgetExceeded, match=r"C\(448,2\) = 100128"):
+        token_planarity(g, 2)

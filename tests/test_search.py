@@ -387,7 +387,7 @@ def test_k4_census_builds_no_token_graph(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("the edge count should decide every k = 4 candidate")
 
-    monkeypatch.setattr(tokengraphs.planarity, "build_token_graph", no_build)
+    monkeypatch.setattr(tokengraphs.planarity, "_neighbour_lists", no_build)
     monkeypatch.setattr(tokengraphs.planarity, "nonplanarity_by_minor", no_build)
     report = edge_maximal_search(4, range(8, 11))
     assert report.maximal == ()
@@ -398,14 +398,14 @@ def test_k4_census_builds_no_token_graph(monkeypatch):
 @pytest.mark.parametrize("prune, orders, most", [(True, range(5, 11), 66), (False, range(5, 10), 83)])
 def test_k2_census_builds_only_what_no_lemma_rejects(monkeypatch, prune, orders, most):
     """The paper's lemmas reject most candidates before a token graph is built."""
-    build = tokengraphs.planarity.build_token_graph
+    build = tokengraphs.planarity._neighbour_lists
     builds = []
 
     def counted(g, k):
         builds.append(g)
         return build(g, k)
 
-    monkeypatch.setattr(tokengraphs.planarity, "build_token_graph", counted)
+    monkeypatch.setattr(tokengraphs.planarity, "_neighbour_lists", counted)
     edge_maximal_search(2, orders, prune=prune)
     assert 0 < len(builds) <= most
 

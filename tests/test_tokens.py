@@ -18,6 +18,7 @@ from tokengraphs import (
     cycle_graph,
     edge_maximal_search,
     empty_graph,
+    graph_classes,
     johnson,
     johnson_complement,
     lift_script,
@@ -30,6 +31,9 @@ from tokengraphs import (
     uniform_substitution_degree,
     verify_maximality,
 )
+
+from tokengraphs.graphs import _bits
+from tokengraphs.tokens import _neighbour_lists
 
 from util import brute_token_edges, random_graph, swap_token_edges
 
@@ -140,6 +144,33 @@ def test_a_non_integer_k_raises_bad_k(entry):
     for k in (2.0, 2.5, "2", None):
         with pytest.raises(BadK):
             entry(complete_graph(5), k)
+
+
+def test_neighbour_lists_hold_the_rows_of_the_build():
+    """Per vertex, the list form holds the build's row, each neighbour once:
+    every graph class with n <= 7 at every k, F_2(P_45) and F_3(C_9)."""
+    cases = [
+        (g, k)
+        for n in range(2, 8)
+        for m in range(n * (n - 1) // 2 + 1)
+        for g in graph_classes(n, m)
+        for k in range(1, n)
+    ]
+    assert len(cases) == 7223
+    cases += [(path_graph(45), 2), (cycle_graph(9), 3)]
+    for g, k in cases:
+        lists = _neighbour_lists(g, k)
+        rows = build_token_graph(g, k).graph._adj
+        assert len(lists) == len(rows), (g.edges(), k)
+        for r, (nbrs, row) in enumerate(zip(lists, rows)):
+            assert len(nbrs) == row.bit_count() and set(nbrs) == set(_bits(row)), (g.edges(), k, r)
+
+
+def test_neighbour_lists_keep_the_builds_contract():
+    with pytest.raises(BadK):
+        _neighbour_lists(path_graph(5), 5)
+    with pytest.raises(BudgetExceeded, match=r"C\(20,8\) = 125970"):
+        _neighbour_lists(complete_graph(20), 8)
 
 
 def test_vertex_budget():
